@@ -65,10 +65,11 @@ constexpr Config kConfigs[] = {
     {"persistent", true, true, true, true, false, /*persistent=*/true},
 };
 
-/// Checks the backend actually ran: queries it neither answered from the
-/// in-memory cache nor from the persistent store.
+/// Checks the backend actually ran: queries answered neither from the
+/// in-memory cache, nor from the persistent store, nor by the presolve pool.
 uint64_t backend_calls(const core::EngineStats& s) {
-  return s.solver.queries - s.solver.cache_hits - s.store_hits;
+  return s.solver.queries - s.solver.cache_hits - s.store_hits -
+         s.presolve_hits;
 }
 
 /// One measured exploration. A "persistent" config runs twice over one

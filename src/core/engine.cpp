@@ -2,18 +2,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <fstream>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
 
 #include "core/snapshot.hpp"
-#include "smt/slice.hpp"
+#include "smt/resolver.hpp"
 #include "smt/smtlib.hpp"
 #include "support/fault.hpp"
 #include "support/format.hpp"
@@ -30,52 +28,10 @@ void dump_query(const std::string& dir, uint64_t index, smt::Context& ctx,
   if (file) smt::print_query(file, ctx, query);
 }
 
-/// Bounded pool of recently returned sat models (per worker, so no locking
-/// and no TSan traffic). Each entry keeps a CachingEvaluator whose memo
-/// persists across flips: the recurring prefix constraints of one trace
-/// evaluate once per pooled model, not once per flip.
-class ModelPool {
- public:
-  explicit ModelPool(size_t capacity) : capacity_(capacity) {}
-
-  void add(const smt::Assignment& model) {
-    if (capacity_ == 0) return;
-    if (entries_.size() == capacity_) entries_.pop_front();
-    entries_.emplace_back(model);
-  }
-
-  /// The most recently added model satisfying every constraint of `query`,
-  /// or nullptr.
-  const smt::Assignment* find_satisfying(
-      std::span<const smt::ExprRef> query) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      bool satisfied = true;
-      for (smt::ExprRef constraint : query) {
-        if (it->eval.evaluate(constraint) != 1) {
-          satisfied = false;
-          break;
-        }
-      }
-      if (satisfied) return &it->model;
-    }
-    return nullptr;
-  }
-
- private:
-  struct Entry {
-    smt::Assignment model;
-    smt::CachingEvaluator eval;
-    explicit Entry(const smt::Assignment& m) : model(m), eval(model) {}
-    // eval references this entry's own `model`; copying or moving would
-    // rebind it to the source's. The deque below never relocates entries.
-    Entry(const Entry&) = delete;
-    Entry& operator=(const Entry&) = delete;
-  };
-
-  size_t capacity_;
-  std::deque<Entry> entries_;  // deque: entries never relocate, so the
-                               // evaluator's reference into `model` is stable
-};
+/// Branch `b` as it was taken on its trace.
+smt::ExprRef as_taken(smt::Context& ctx, const BranchRecord& b) {
+  return b.taken ? b.cond : ctx.not_(b.cond);
+}
 
 /// Assemble the final Finding record for a detection on `trace`: dedup-key
 /// fields, SMT-LIB rendering of the faulting expression, and the witness
@@ -97,20 +53,6 @@ Finding finalize_finding(const smt::Context& ctx, OracleKind oracle,
     f.input.push_back(static_cast<uint8_t>(witness.get(var)));
   return f;
 }
-
-/// Balances a Solver::push() on every exit path of a trace's flip loop.
-class SolverScope {
- public:
-  explicit SolverScope(smt::Solver& solver) : solver_(solver) {
-    solver_.push();
-  }
-  ~SolverScope() { solver_.pop(); }
-  SolverScope(const SolverScope&) = delete;
-  SolverScope& operator=(const SolverScope&) = delete;
-
- private:
-  smt::Solver& solver_;
-};
 
 }  // namespace
 
@@ -168,10 +110,8 @@ std::vector<smt::ExprRef> flip_query(smt::Context& ctx, const PathTrace& trace,
   std::vector<smt::ExprRef> constraints;
   constraints.reserve(flip_index + trace.assumptions.size() + 1);
   // Branch prefix, in as-taken form.
-  for (size_t j = 0; j < flip_index; ++j) {
-    const BranchRecord& branch = trace.branches[j];
-    constraints.push_back(branch.taken ? branch.cond : ctx.not_(branch.cond));
-  }
+  for (size_t j = 0; j < flip_index; ++j)
+    constraints.push_back(as_taken(ctx, trace.branches[j]));
   // Assumptions made before the flip point (address concretizations).
   for (const Assumption& assumption : trace.assumptions) {
     if (assumption.branch_index <= flip_index)
@@ -247,10 +187,8 @@ std::unique_ptr<smt::Solver> DseEngine::wrap_solver(
   if (options_.fault_plan)
     raw = std::make_unique<smt::FaultInjectingSolver>(std::move(raw),
                                                       options_.fault_plan);
-  // Query caching is managed by the worker loop itself (not a CachingSolver
-  // wrapper): the engine keys the cache by the *effective* query — the
-  // sliced one when slicing is on — and serves hits before the scoped
-  // incremental path, which a solver-level wrapper cannot do for it.
+  // Each worker's smt::Resolver puts the slicing, cache, store and presolve
+  // tiers in front of this stack and owns its scoped incremental API.
   return raw;
 }
 
@@ -265,20 +203,16 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   const uint64_t nodes_before = ctx.num_nodes();
   const uint64_t intern_hits_before = ctx.intern_hits();
 
-  // Per-worker solver-pipeline state (workers never share any of it; the
-  // cache keys are structural content hashes, so sharing across workers
-  // would be sound — it is kept per-worker for lock-free locality).
+  // Every satisfiability question this worker asks goes through its
+  // resolver (smt/resolver.hpp); only the persistent store tier is shared.
   const EngineOptions& opts = shared.options;
-  const bool incremental = opts.incremental_solving;
-  smt::QuerySlicer slicer;
-  ModelPool pool(opts.presolve_models ? opts.presolve_pool : 0);
-  std::optional<smt::QueryCache> cache;
-  if (opts.cache_queries) cache.emplace(/*shards=*/1);
-  smt::SolverStore* const store = opts.solver_store.get();
-  uint64_t cache_hits_sat = 0, cache_hits_unsat = 0, cache_misses = 0;
-  uint64_t store_hits_sat = 0, store_hits_unsat = 0;
-  std::vector<smt::ExprRef> prefix;      // as-taken prefix ∧ assumptions
-  std::vector<smt::ExprRef> full_query;  // scratch for the unsliced paths
+  smt::Resolver resolver(ctx, solver,
+                         {.slice = opts.slice_queries,
+                          .cache = opts.cache_queries,
+                          .presolve = opts.presolve_models,
+                          .incremental = opts.incremental_solving,
+                          .store = opts.solver_store.get()});
+  std::vector<smt::ExprRef> candidate_prefix;
 
   // Snapshot/fork state (also strictly per-worker: snapshots hold
   // per-context ExprRefs, so handles never cross workers — a migrated job
@@ -298,6 +232,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   // the merged result is marked incomplete.
   FlipJob job;
   auto on_job_error = [&](const char* what) {
+    resolver.reset_prefix();  // the failed trace's prefix and scope
     ++local.worker_errors;
     shared.mark_incomplete(std::string("worker error: ") + what);
     if (job.retries < opts.max_job_retries) {
@@ -389,11 +324,10 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     shared.frontier.observe(trace);
 
     // Finalize this run's oracle detections (finding.hpp). Concrete hits
-    // carry the run's seed as their witness; candidates ask the solver
+    // carry the run's seed as their witness; candidates ask the resolver
     // whether the violation is feasible under the constraints that held at
     // the event point, and a sat model (merged over the seed) becomes the
-    // witness. Runs before the flip loop opens its solver scope — the
-    // stateless check() requires no scopes open.
+    // witness.
     for (const OracleHit& hit : trace.oracle_hits) {
       Finding f = finalize_finding(ctx, hit.oracle, hit.pc, hit.call_depth,
                                    hit.detail, hit.expr, trace, seed, index);
@@ -422,18 +356,15 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         }
       }
       ++local.candidates_checked;
-      full_query.clear();
-      for (size_t j = 0; j < c.branch_depth; ++j) {
-        const BranchRecord& b = trace.branches[j];
-        full_query.push_back(b.taken ? b.cond : ctx.not_(b.cond));
-      }
+      candidate_prefix.clear();
+      for (size_t j = 0; j < c.branch_depth; ++j)
+        candidate_prefix.push_back(as_taken(ctx, trace.branches[j]));
       for (size_t j = 0; j < c.assumption_count; ++j)
-        full_query.push_back(trace.assumptions[j].expr);
-      full_query.push_back(c.cond);
+        candidate_prefix.push_back(trace.assumptions[j].expr);
       smt::Assignment model;
-      const smt::CheckResult cres = solver.check(full_query, &model);
-      if (cres == smt::CheckResult::kUnknown) ++local.queries_unknown;
-      if (cres != smt::CheckResult::kSat) continue;
+      if (resolver.resolve_candidate(candidate_prefix, c.cond, &model) !=
+          smt::CheckResult::kSat)
+        continue;
       if (statically_proved) ++local.static_mismatches;
       ++local.candidates_feasible;
       smt::Assignment witness = seed;
@@ -451,17 +382,10 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     // deepest flip on top of the stack: the paper's selection order.
     //
     // Every flip of this trace shares the prefix conjunction with its
-    // successors (flip i+1's prefix is flip i's plus one constraint), so
-    // the prefix is grown once, incrementally — appended to `prefix` for
-    // slicing/pre-checking, and asserted into the solver's scope so each
-    // check only ships the negated branch as an assumption.
-    prefix.clear();
+    // successors (flip i+1's prefix is flip i's plus one constraint), so the
+    // prefix is grown once, incrementally, inside the resolver.
     size_t next_branch = 0;      // prefix branches appended so far
     size_t next_assumption = 0;  // trace assumptions appended so far
-    std::optional<SolverScope> scope;
-    if (incremental && job.bound < trace.branches.size())
-      scope.emplace(solver);
-
     for (size_t i = job.bound; i < trace.branches.size(); ++i) {
       // Once the exploration is stopped (budget hit, worker error) the
       // remaining flips of this trace would only feed a dead frontier;
@@ -470,187 +394,25 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
 
       // Extend the shared prefix to flip point i: branches [0, i) in
       // as-taken form plus the assumptions made up to the flip point.
-      while (next_branch < i) {
-        const BranchRecord& b = trace.branches[next_branch++];
-        smt::ExprRef constraint = b.taken ? b.cond : ctx.not_(b.cond);
-        prefix.push_back(constraint);
-        if (incremental) solver.assert_(constraint);
-      }
+      while (next_branch < i)
+        resolver.extend_prefix(as_taken(ctx, trace.branches[next_branch++]));
       while (next_assumption < trace.assumptions.size() &&
-             trace.assumptions[next_assumption].branch_index <= i) {
-        smt::ExprRef constraint = trace.assumptions[next_assumption++].expr;
-        prefix.push_back(constraint);
-        if (incremental) solver.assert_(constraint);
-      }
+             trace.assumptions[next_assumption].branch_index <= i)
+        resolver.extend_prefix(trace.assumptions[next_assumption++].expr);
       const BranchRecord& flip = trace.branches[i];
-      smt::ExprRef negated = flip.taken ? ctx.not_(flip.cond) : flip.cond;
       ++local.flip_attempts;
-
-      // The effective query: the negated branch's variable-connected
-      // component(s) of the prefix when slicing, the whole conjunction
-      // otherwise. The unsliced vector is only materialized when something
-      // consumes it (stateless check, cache key, pre-check, dump,
-      // measurement); pure incremental solving needs no query vector.
-      smt::QuerySlicer::Result sliced;
-      const std::vector<smt::ExprRef>* query = nullptr;
-      if (opts.slice_queries) {
-        sliced = slicer.slice(prefix, negated);
-        local.sliced_constraints += sliced.dropped;
-        query = &sliced.query;
-      } else if (!incremental || opts.presolve_models || opts.cache_queries ||
-                 store || opts.measure_query_nodes ||
-                 !shared.options.smtlib_dump_dir.empty()) {
-        full_query.assign(prefix.begin(), prefix.end());
-        full_query.push_back(negated);
-        query = &full_query;
-      }
-      if (opts.measure_query_nodes && query) {
-        uint64_t nodes = smt::node_count(std::span<const smt::ExprRef>(*query));
+      smt::Assignment model;
+      const smt::CheckResult result = resolver.resolve_flip(
+          flip.taken ? ctx.not_(flip.cond) : flip.cond, &model);
+      const std::vector<smt::ExprRef>& query = resolver.query();
+      if (opts.measure_query_nodes) {
+        uint64_t nodes = smt::node_count(std::span<const smt::ExprRef>(query));
         local.query_nodes_total += nodes;
         local.query_nodes_max = std::max(local.query_nodes_max, nodes);
       }
-      if (!shared.options.smtlib_dump_dir.empty() && query)
-        dump_query(shared.options.smtlib_dump_dir,
-                   shared.dump_counter.fetch_add(1) + 1, ctx, *query);
-
-      // Answer the flip, cheapest source first:
-      //   1. query cache, keyed by the effective (sliced) query — sibling
-      //      flips over disjoint constraint groups collapse onto one key;
-      //   2. the persistent store (same key — content hashes survive the
-      //      process boundary), its name-keyed model translated back
-      //      through this context's variable table — but only after the
-      //      entry survives the collision checks below;
-      //   3. model-reuse pre-check against recently returned models;
-      //   4. the solver — through the scoped incremental API when enabled.
-      smt::Assignment model;
-      smt::CheckResult result = smt::CheckResult::kUnknown;
-      smt::QueryCache::Key key;
-      bool answered = false;
-      bool from_solver = false;
-      bool from_store = false;
-      if (cache || store) key = smt::QueryCache::key_for(*query);
-      // The query's distinct variables, for the store's collision
-      // discriminator (lookup and insert both record it).
-      std::vector<uint32_t> store_vars_storage;
-      const std::vector<uint32_t>* store_vars = nullptr;
-      if (store) {
-        if (opts.slice_queries) {
-          store_vars = &sliced.vars;
-        } else {
-          store_vars_storage = smt::collect_vars(*query);
-          store_vars = &store_vars_storage;
-        }
-      }
-      if (cache) {
-        smt::QueryCache::Entry entry;
-        if (cache->lookup(key, &entry)) {
-          result = entry.result;
-          if (result == smt::CheckResult::kSat) {
-            model = std::move(entry.model);
-            ++cache_hits_sat;
-          } else {
-            ++cache_hits_unsat;
-          }
-          answered = true;
-        } else {
-          ++cache_misses;
-        }
-      }
-      if (!answered && store) {
-        // The key is a content hash, and a persisted keyspace shared across
-        // targets and runs widens the collision exposure, so a hit is never
-        // trusted blindly: the lookup itself rejects entries whose recorded
-        // variable count differs, and a kSat entry's translated model must
-        // satisfy the query under concrete evaluation. Either mismatch is a
-        // colliding key from a different query — treated as a miss, the
-        // solver decides (a wrong unsat would silently prune feasible
-        // paths; a wrong model would corrupt the child seed).
-        smt::SolverStore::Entry stored;
-        bool hit = store->lookup(
-            key, static_cast<uint32_t>(store_vars->size()), &stored);
-        if (hit && stored.verdict == smt::CheckResult::kSat) {
-          // Stored models are name-keyed; every variable of a query is
-          // declared in this context by the time the query exists, so the
-          // translation back to var_ids is total for a genuine hit (an
-          // unknown name can only come from a colliding key, which the
-          // evaluation below rejects).
-          for (const auto& [name, value] : stored.model)
-            if (smt::ExprRef var = ctx.lookup_var(name))
-              model.set(var->var_id, value);
-          for (smt::ExprRef assertion : *query) {
-            if (smt::evaluate(assertion, model) != 1) {
-              hit = false;
-              model.values.clear();
-              break;
-            }
-          }
-        }
-        if (hit) {
-          result = stored.verdict;
-          if (result == smt::CheckResult::kSat) {
-            ++store_hits_sat;
-          } else {
-            ++store_hits_unsat;
-          }
-          // Promote into the session cache so sibling flips re-answer
-          // without the store's lock.
-          if (cache)
-            cache->insert(key, smt::QueryCache::Entry{result, model});
-          answered = true;
-          from_store = true;
-          ++local.store_hits;
-        } else {
-          ++local.store_misses;
-        }
-      }
-      if (!answered && opts.presolve_models) {
-        if (const smt::Assignment* reused = pool.find_satisfying(*query)) {
-          // The verdict evaluated variables the pooled model does not
-          // assign as zero (Assignment::get's completion); materialize a
-          // value for *every* query variable so the next_seed merge below
-          // reproduces exactly the assignment the pre-check judged — a
-          // parent-seed value surviving for a missing variable could
-          // invalidate it.
-          const std::vector<uint32_t> qvars =
-              opts.slice_queries ? sliced.vars : smt::collect_vars(*query);
-          for (uint32_t var : qvars) model.set(var, reused->get(var));
-          result = smt::CheckResult::kSat;
-          answered = true;
-          ++local.presolve_hits;
-        } else {
-          ++local.presolve_misses;
-        }
-      }
-      if (!answered) {
-        const auto solve_start = std::chrono::steady_clock::now();
-        result = incremental
-                     ? solver.check_assuming(std::span(&negated, 1), &model)
-                     : solver.check(*query, &model);
-        from_solver = true;
-        if (result == smt::CheckResult::kUnknown) ++local.queries_unknown;
-        if (cache && result != smt::CheckResult::kUnknown)
-          cache->insert(key, smt::QueryCache::Entry{result, model});
-        // Record the definitive verdict for future *processes* (kUnknown is
-        // rejected both here and inside the store — a weak answer is never
-        // worth persisting). Models go in by variable name; var_ids are
-        // meaningless outside this context.
-        if (store && result != smt::CheckResult::kUnknown) {
-          smt::SolverStore::Entry persisted;
-          persisted.verdict = result;
-          persisted.backend = solver.last_backend();
-          persisted.var_count = static_cast<uint32_t>(store_vars->size());
-          persisted.solve_seconds = std::chrono::duration<double>(
-                                        std::chrono::steady_clock::now() -
-                                        solve_start)
-                                        .count();
-          if (result == smt::CheckResult::kSat) {
-            persisted.model.reserve(model.values.size());
-            for (const auto& [var, value] : model.values)
-              persisted.model.emplace_back(ctx.var_info(var).name, value);
-          }
-          store->insert(key, std::move(persisted));
-        }
-      }
+      if (!opts.smtlib_dump_dir.empty())
+        dump_query(opts.smtlib_dump_dir, shared.dump_counter.fetch_add(1) + 1,
+                   ctx, query);
       // An unknown verdict (deadline expiry, exhausted failover) is *not*
       // infeasible: the flip is skipped explicitly, never cached, and
       // counted so a timeout cannot silently masquerade as unsat.
@@ -663,14 +425,6 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         continue;
       }
       ++local.feasible_flips;
-      // Store hits feed the model pool like fresh solver models: a prior
-      // run's models pre-answer this run's sibling flips.
-      if (from_solver || from_store) pool.add(model);
-      // With slicing the model must not leak values for sliced-out
-      // variables: those constraints were never sent (or, pre-checked
-      // against a model of some other query), and the parent seed is the
-      // witness that satisfies them.
-      if (opts.slice_queries) smt::restrict_to_vars(&model, sliced.vars);
       // New seed: parent values, overridden by the model. With slicing the
       // model covers exactly the effective query's variables, so everything
       // sliced out keeps its parent value; an unsliced solver model may
@@ -699,7 +453,8 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       }
       shared.frontier.push(std::move(child));
     }
-    scope.reset();
+    // Closed here, so the scope's pop is paid with this trace's checks.
+    resolver.reset_prefix();
     } catch (const std::exception& e) {
       on_job_error(e.what());
     } catch (...) {
@@ -721,16 +476,14 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   local.exprs_interned = ctx.num_nodes() - nodes_before;
   local.intern_hits = ctx.intern_hits() - intern_hits_before;
   local.arena_bytes = ctx.arena_bytes();
-  local.solver = solver.stats();
-  // Queries answered from the cache (or the persistent store — a cache
-  // whose hits crossed a process boundary) count as logical queries,
-  // exactly as the CachingSolver wrapper reports them in standalone use.
-  local.solver.queries +=
-      cache_hits_sat + cache_hits_unsat + store_hits_sat + store_hits_unsat;
-  local.solver.sat += cache_hits_sat + store_hits_sat;
-  local.solver.unsat += cache_hits_unsat + store_hits_unsat;
-  local.solver.cache_hits = cache_hits_sat + cache_hits_unsat;
-  local.solver.cache_misses = cache_misses;
+  const smt::Resolver::Ledger& ledger = resolver.ledger();
+  local.presolve_hits = ledger.presolve_hits;
+  local.presolve_misses = ledger.presolve_misses;
+  local.store_hits = ledger.store_hits;
+  local.store_misses = ledger.store_misses;
+  local.sliced_constraints = ledger.sliced_constraints;
+  local.queries_unknown = ledger.unknown;
+  local.solver = resolver.stats();
   std::lock_guard<std::mutex> lock(shared.sink_mutex);
   shared.totals.merge(local);
 }

@@ -32,7 +32,6 @@
 #include "core/frontier.hpp"
 #include "core/path.hpp"
 #include "core/search.hpp"
-#include "smt/cache.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
 
@@ -51,8 +50,8 @@ struct EngineOptions {
   unsigned jobs = 1;
   /// Seed for SearchKind::kRandomPath (reproducible schedules).
   uint64_t rng_seed = 1;
-  /// Keep a per-worker query cache keyed by the effective (sliced) flip
-  /// query — identical queries recur across sibling flips.
+  /// Keep a per-worker query cache keyed by the effective (sliced) query —
+  /// identical queries recur across sibling flips and oracle candidates.
   bool cache_queries = true;
   /// Hash-cons expression nodes in each worker's Context (the default).
   /// Off preserves the legacy fresh-node-per-call allocator for the
@@ -63,25 +62,25 @@ struct EngineOptions {
   bool intern_exprs = true;
   /// Validate every sat model by concrete evaluation (testing aid).
   bool validate_models = false;
-  // -- Solver-pipeline optimizations (independently toggleable; the path
+  // -- Solver-pipeline optimizations: the tiers of each worker's
+  // smt::Resolver (smt/resolver.hpp). Independently toggleable; the path
   // set an exploration discovers is invariant under all of them, so the
-  // ablation bench can isolate each one's cost effect).
+  // ablation bench can isolate each one's cost effect.
   /// Assert a trace's branch-prefix constraints once per trace via the
   /// solver's scoped API and check each flip as an assumption, instead of
-  /// re-sending the whole conjunction per flip.
+  /// re-sending the whole conjunction per flip. The scope is opened only
+  /// when a flip of the trace actually reaches the solver.
   bool incremental_solving = true;
   /// Constraint-independence slicing: send only the prefix constraints
   /// variable-connected to the negated branch (see smt/slice.hpp).
   bool slice_queries = true;
-  /// Model-reuse pre-check: evaluate each flip query under recently
-  /// returned models first; a satisfying one answers sat with no solver
-  /// round trip.
+  /// Model-reuse pre-check: evaluate each query under recently returned
+  /// models first (smt::Resolver::kPresolvePool of them); a satisfying one
+  /// answers sat with no solver round trip.
   bool presolve_models = true;
-  /// Per-worker recent-model pool size for the pre-check (0 disables).
-  unsigned presolve_pool = 8;
   /// Persistent content-addressed query/model store (smt/store.hpp),
   /// shared across workers (internally locked) and across *processes*:
-  /// flip queries answer from it before reaching a solver, definitive
+  /// queries answer from it before reaching a solver, definitive
   /// solver verdicts are recorded into it, and explore() flushes it to its
   /// backing file at the end — so a warm rerun of the same target replays
   /// prior solver work instead of redoing it. Like the cache, it can only
@@ -159,21 +158,23 @@ struct EngineOptions {
 /// see the final merged value explore() returns.
 struct EngineStats {
   uint64_t paths = 0;            // completed runs == explored paths
-  uint64_t flip_attempts = 0;    // solver queries issued for branch flips
+  uint64_t flip_attempts = 0;    // branch flips asked of the resolver
   uint64_t feasible_flips = 0;
   uint64_t infeasible_flips = 0;
   uint64_t divergences = 0;      // reruns that did not reach the flip depth
   uint64_t failures = 0;         // report_fail events across all paths
   uint64_t max_branch_depth = 0;
   uint64_t instructions = 0;
-  uint64_t presolve_hits = 0;    // flips answered by the recent-model pool
-  uint64_t presolve_misses = 0;  // pre-checked flips that still hit the solver
+  // -- Resolver ledger (smt/resolver.hpp): each flip and checked candidate
+  // is one solver.queries entry, answered by exactly one tier.
+  uint64_t presolve_hits = 0;    // questions answered by the recent-model pool
+  uint64_t presolve_misses = 0;  // pre-checked questions that went further
   // -- Persistent store (EngineOptions::solver_store). Zero without one.
-  uint64_t store_hits = 0;     // flips answered by the persistent store
-  uint64_t store_misses = 0;   // store-consulted flips that went further
+  uint64_t store_hits = 0;     // questions answered by the persistent store
+  uint64_t store_misses = 0;   // store-consulted questions that went further
   uint64_t store_entries = 0;  // entries held after the final flush
   uint64_t sliced_constraints = 0;  // prefix constraints dropped by slicing,
-                                    // summed over all flip queries
+                                    // summed over all resolved queries
   uint64_t query_nodes_total = 0;   // effective query DAG nodes, summed
   uint64_t query_nodes_max = 0;     // ... and the largest single query
                                     // (both only with measure_query_nodes)
@@ -188,7 +189,7 @@ struct EngineStats {
   // attached to the executors.
   uint64_t findings = 0;             // unique findings this engine inserted
   uint64_t finding_dupes = 0;        // detections collapsed by the dedup key
-  uint64_t candidates_checked = 0;   // oracle candidates sent to the solver
+  uint64_t candidates_checked = 0;   // oracle candidates asked of the resolver
   uint64_t candidates_feasible = 0;  // ... that came back sat (=> finding)
   // -- Static candidate pruning (EngineOptions::candidate_prune). Zero
   // unless a prover was installed.
@@ -210,7 +211,7 @@ struct EngineStats {
   uint64_t arena_bytes = 0;     // bytes held by arenas + intern tables
   // -- Robustness (docs/ROBUSTNESS.md). Zero on a healthy run with no
   // deadlines configured.
-  uint64_t queries_unknown = 0;      // solver checks that came back kUnknown
+  uint64_t queries_unknown = 0;      // questions that came back kUnknown
                                      // (deadline, theory limit, injected)
   uint64_t flips_skipped_unknown = 0;  // flips explicitly skipped on kUnknown
                                        // (never counted as infeasible)
@@ -272,7 +273,7 @@ class DseEngine {
   /// Single-executor form: exploration borrows `executor` and runs
   /// sequentially on the calling thread. `solver` is the raw backend (e.g.
   /// from smt::make_z3_solver); ownership is taken so the engine can layer
-  /// cache/validation wrappers. Requires options.jobs == 1.
+  /// validation and fault-injection wrappers. Requires options.jobs == 1.
   DseEngine(Executor& executor, std::unique_ptr<smt::Solver> solver,
             EngineOptions options = {});
 

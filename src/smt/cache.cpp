@@ -19,18 +19,11 @@ QueryCache::QueryCache(size_t shards)
       shards_(std::make_unique<Shard[]>(shard_count_)) {}
 
 QueryCache::Key QueryCache::key_for(std::span<const ExprRef> assertions) {
-  return key_for(assertions, {});
-}
-
-QueryCache::Key QueryCache::key_for(std::span<const ExprRef> scoped,
-                                    std::span<const ExprRef> assumptions) {
   Key key;
-  key.reserve(scoped.size() + assumptions.size());
-  for (std::span<const ExprRef> part : {scoped, assumptions}) {
-    for (ExprRef assertion : part) {
-      if (assertion->is_true()) continue;
-      key.push_back(assertion->hash);
-    }
+  key.reserve(assertions.size());
+  for (ExprRef assertion : assertions) {
+    if (assertion->is_true()) continue;
+    key.push_back(assertion->hash);
   }
   std::sort(key.begin(), key.end());
   key.erase(std::unique(key.begin(), key.end()), key.end());
@@ -78,69 +71,6 @@ void QueryCache::clear() {
     std::lock_guard<std::mutex> lock(shards_[i].mutex);
     shards_[i].entries.clear();
   }
-}
-
-CheckResult CachingSolver::serve(const QueryCache::Key& key,
-                                 std::span<const ExprRef> assertions,
-                                 bool via_assumptions, Assignment* model) {
-  auto account = [this](CheckResult result) {
-    ++stats_.queries;
-    switch (result) {
-      case CheckResult::kSat:     ++stats_.sat; break;
-      case CheckResult::kUnsat:   ++stats_.unsat; break;
-      case CheckResult::kUnknown: ++stats_.unknown; break;
-    }
-  };
-
-  QueryCache::Entry entry;
-  if (cache_->lookup(key, &entry)) {
-    ++stats_.cache_hits;
-    account(entry.result);
-    if (model && entry.result == CheckResult::kSat)
-      *model = std::move(entry.model);
-    return entry.result;
-  }
-
-  ++stats_.cache_misses;
-  Assignment local;
-  CheckResult result = via_assumptions
-                           ? inner_->check_assuming(assertions, &local)
-                           : inner_->check(assertions, &local);
-  stats_.solve_seconds = inner_->stats().solve_seconds;
-  stats_.incremental_checks = inner_->stats().incremental_checks;
-  stats_.reused_assertions = inner_->stats().reused_assertions;
-  account(result);
-  if (model && result == CheckResult::kSat) *model = local;
-  if (result != CheckResult::kUnknown)
-    cache_->insert(key, QueryCache::Entry{result, std::move(local)});
-  return result;
-}
-
-CheckResult CachingSolver::check(std::span<const ExprRef> assertions,
-                                 Assignment* model) {
-  return serve(QueryCache::key_for(assertions), assertions,
-               /*via_assumptions=*/false, model);
-}
-
-void CachingSolver::push() {
-  Solver::push();
-  inner_->push();
-}
-
-void CachingSolver::pop() {
-  Solver::pop();
-  inner_->pop();
-}
-
-void CachingSolver::assert_(ExprRef assertion) {
-  Solver::assert_(assertion);
-  inner_->assert_(assertion);
-}
-
-CheckResult CachingSolver::check_assuming(std::span<const ExprRef> assumptions,
-                                          Assignment* model) {
-  return serve(QueryCache::key_for(scoped_assertions(), assumptions),
-               assumptions, /*via_assumptions=*/true, model);
 }
 
 }  // namespace binsym::smt

@@ -3,7 +3,9 @@
 // The engine asks one question, many times: "is this conjunction of width-1
 // expressions satisfiable, and if so under which variable assignment?". The
 // abstraction allows swapping Z3 (the paper's solver) for the built-in
-// bit-blasting backend, and lets the caching wrapper interpose transparently.
+// bit-blasting backend and stacking the wrappers below (validation,
+// failover, fault injection); the engine's Resolver (resolver.hpp) puts its
+// slicing, cache, store and presolve tiers in front of whichever stack.
 #pragma once
 
 #include <atomic>
@@ -37,8 +39,8 @@ struct SolverStats {
   uint64_t sat = 0;
   uint64_t unsat = 0;
   uint64_t unknown = 0;
-  uint64_t cache_hits = 0;          // filled in by CachingSolver
-  uint64_t cache_misses = 0;        // filled in by CachingSolver
+  uint64_t cache_hits = 0;          // answered by the Resolver's cache
+  uint64_t cache_misses = 0;        // Resolver cache lookups that missed
   uint64_t incremental_checks = 0;  // check_assuming() calls reaching a backend
   uint64_t reused_assertions = 0;   // scoped assertions live per such check,
                                     // summed (the assumption-reuse depth)

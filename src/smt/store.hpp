@@ -5,13 +5,13 @@
 // across process restarts. That makes the cache's keyspace durable: this
 // store maps the same keys to {verdict, model, winning backend, solve time}
 // in a single file, so a second exploration of the same target starts with
-// every previously solved query already answered (ROADMAP item 4's
-// persistent cache).
+// every previously solved query already answered. It is the Resolver's
+// (resolver.hpp) tier between the in-memory cache and the presolve pool.
 //
 // Models are persisted *by variable name*, not var_id: ids are dense
 // per-context indices and mean nothing in the next process, while names are
 // stable (the engine derives them from the input layout). At lookup time
-// the engine translates names back through Context::lookup_var — every
+// the Resolver translates names back through Context::lookup_var — every
 // variable of a query is declared by the time the query is built, so the
 // translation is total for any query the engine replays.
 //
@@ -67,7 +67,7 @@ class SolverStore {
 
   /// Discriminating lookup: a key match whose stored var_count differs from
   /// `var_count` is a hash collision with a different query — counted and
-  /// reported as a miss, never surfaced. The engine uses this overload; the
+  /// reported as a miss, never surfaced. The Resolver uses this overload; the
   /// plain one exists for tests and callers without the query at hand.
   bool lookup(const QueryCache::Key& key, uint32_t var_count, Entry* out);
 

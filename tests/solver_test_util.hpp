@@ -6,10 +6,13 @@
 // polls the cooperative cancel flag like a real backend, so races and
 // cancellation can be tested deterministically without timing luck.
 // Used by the failover tests (test_solver.cpp) and the portfolio race
-// tests (test_portfolio.cpp).
+// tests (test_portfolio.cpp). CountingSolver wraps a real backend and
+// counts the calls that reach it (test_solver.cpp, test_resolver.cpp).
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -73,6 +76,58 @@ class StubSolver final : public Solver {
   std::string label_;
   uint64_t model_value_ = 0;
   uint64_t cancelled_checks_ = 0;
+};
+
+/// Forwards the checks and the scope calls (push/pop/assert_) to `inner`
+/// and counts them: the backend traffic a Resolver generates. The counters are shared and atomic so one set can total the
+/// solvers of every worker of a parallel exploration.
+class CountingSolver final : public Solver {
+ public:
+  struct Counts {
+    std::atomic<uint64_t> checks{0};
+    std::atomic<uint64_t> scope_calls{0};
+    std::atomic<uint64_t> max_scopes{0};  // deepest nesting of one solver
+  };
+
+  CountingSolver(std::unique_ptr<Solver> inner, std::shared_ptr<Counts> counts)
+      : inner_(std::move(inner)), counts_(std::move(counts)) {}
+
+  CheckResult check(std::span<const ExprRef> assertions,
+                    Assignment* model) override {
+    ++counts_->checks;
+    CheckResult result = inner_->check(assertions, model);
+    stats_ = inner_->stats();
+    return result;
+  }
+  CheckResult check_assuming(std::span<const ExprRef> assumptions,
+                             Assignment* model) override {
+    ++counts_->checks;
+    CheckResult result = inner_->check_assuming(assumptions, model);
+    stats_ = inner_->stats();
+    return result;
+  }
+  void push() override {
+    ++counts_->scope_calls;
+    Solver::push();
+    inner_->push();
+    if (num_scopes() > counts_->max_scopes) counts_->max_scopes = num_scopes();
+  }
+  void pop() override {
+    ++counts_->scope_calls;
+    Solver::pop();
+    inner_->pop();
+  }
+  void assert_(ExprRef assertion) override {
+    ++counts_->scope_calls;
+    Solver::assert_(assertion);
+    inner_->assert_(assertion);
+  }
+  std::string name() const override { return inner_->name(); }
+  std::string last_backend() const override { return inner_->last_backend(); }
+
+ private:
+  std::unique_ptr<Solver> inner_;
+  std::shared_ptr<Counts> counts_;
 };
 
 }  // namespace binsym::smt

@@ -643,9 +643,11 @@ class PortfolioEngineTest : public ::testing::Test {
   }
 
   /// Solver checks that actually reached a backend: logical queries minus
-  /// the ones the cache and the persistent store answered.
+  /// the ones the cache, the persistent store and the presolve pool
+  /// answered.
   static uint64_t backend_calls(const core::EngineStats& stats) {
-    return stats.solver.queries - stats.solver.cache_hits - stats.store_hits;
+    return stats.solver.queries - stats.solver.cache_hits - stats.store_hits -
+           stats.presolve_hits;
   }
 
   isa::OpcodeTable table;

@@ -1,5 +1,5 @@
 // Tests for the solver stack: Z3 backend, model extraction, the query
-// cache and the validating wrapper.
+// cache, the resolver's tiers and the validating wrapper.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +9,7 @@
 
 #include "smt/cache.hpp"
 #include "smt/eval.hpp"
+#include "smt/resolver.hpp"
 #include "smt/solver.hpp"
 #include "solver_test_util.hpp"
 
@@ -72,33 +73,58 @@ TEST(Z3Solver, WideWidths) {
   }
 }
 
-TEST(CachingSolver, HitsOnRepeatedQueries) {
-  Context ctx;
-  CachingSolver cache(make_z3_solver(ctx));
-  ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
+/// A resolver over a call-counting z3 backend, with the tiers chosen.
+struct ResolverRig {
+  explicit ResolverRig(Resolver::Options options)
+      : counts(std::make_shared<CountingSolver::Counts>()),
+        solver(std::make_unique<CountingSolver>(make_z3_solver(ctx), counts)),
+        resolver(ctx, *solver, options) {}
 
-  Assignment m1, m2;
-  EXPECT_EQ(cache.check(query, &m1), CheckResult::kSat);
-  EXPECT_EQ(cache.stats().cache_hits, 0u);
-  EXPECT_EQ(cache.check(query, &m2), CheckResult::kSat);
-  EXPECT_EQ(cache.stats().cache_hits, 1u);
-  EXPECT_EQ(m1.get(x->var_id), m2.get(x->var_id));  // cached model replayed
-  EXPECT_EQ(cache.size(), 1u);
+  Context ctx;
+  std::shared_ptr<CountingSolver::Counts> counts;
+  std::unique_ptr<Solver> solver;
+  Resolver resolver;
+};
+
+Resolver::Options tiers(bool slice, bool presolve) {
+  Resolver::Options options;
+  options.slice = slice;
+  options.presolve = presolve;
+  return options;
 }
 
-TEST(CachingSolver, KeyIgnoresOrderDuplicatesAndTrueAssertions) {
-  Context ctx;
-  CachingSolver cache(make_z3_solver(ctx));
+TEST(Resolver, HitsOnRepeatedQueries) {
+  ResolverRig rig(tiers(/*slice=*/true, /*presolve=*/true));
+  Context& ctx = rig.ctx;
+  ExprRef x = ctx.var("x", 8);
+  ExprRef q = ctx.ult(x, ctx.constant(10, 8));
+
+  Assignment m1, m2;
+  EXPECT_EQ(rig.resolver.resolve_candidate({}, q, &m1), CheckResult::kSat);
+  EXPECT_EQ(rig.resolver.ledger().cache_hits, 0u);
+  EXPECT_EQ(rig.resolver.resolve_candidate({}, q, &m2), CheckResult::kSat);
+  EXPECT_EQ(rig.resolver.ledger().cache_hits, 1u);
+  EXPECT_EQ(m1.get(x->var_id), m2.get(x->var_id));  // cached model replayed
+  EXPECT_EQ(rig.counts->checks.load(), 1u);
+  EXPECT_EQ(rig.resolver.stats().queries, 2u);
+}
+
+TEST(Resolver, KeyIgnoresOrderDuplicatesAndTrueAssertions) {
+  // Unsliced, so the duplicate and the `true` reach the key.
+  ResolverRig rig(tiers(/*slice=*/false, /*presolve=*/false));
+  Context& ctx = rig.ctx;
   ExprRef x = ctx.var("x", 8);
   ExprRef a = ctx.ult(x, ctx.constant(10, 8));
   ExprRef b = ctx.ugt(x, ctx.constant(3, 8));
 
-  std::vector<ExprRef> q1 = {a, b};
-  std::vector<ExprRef> q2 = {b, a, a, ctx.bool_const(true)};
-  EXPECT_EQ(cache.check(q1, nullptr), CheckResult::kSat);
-  EXPECT_EQ(cache.check(q2, nullptr), CheckResult::kSat);
-  EXPECT_EQ(cache.stats().cache_hits, 1u);
+  std::vector<ExprRef> q1_prefix = {a};
+  std::vector<ExprRef> q2_prefix = {b, a, ctx.bool_const(true)};
+  EXPECT_EQ(rig.resolver.resolve_candidate(q1_prefix, b, nullptr),
+            CheckResult::kSat);
+  EXPECT_EQ(rig.resolver.resolve_candidate(q2_prefix, a, nullptr),
+            CheckResult::kSat);
+  EXPECT_EQ(rig.resolver.ledger().cache_hits, 1u);
+  EXPECT_EQ(rig.counts->checks.load(), 1u);
 }
 
 TEST(ValidatingSolver, PassesThroughCorrectModels) {
@@ -114,48 +140,71 @@ TEST(ValidatingSolver, PassesThroughCorrectModels) {
 
 TEST(QueryCache, RepeatedPrefixQuerySequenceHits) {
   // The engine's characteristic query stream: growing prefixes re-checked
-  // across sibling flips. Pin the exact hit/miss accounting.
-  Context ctx;
-  CachingSolver cache(make_z3_solver(ctx));
+  // across sibling flips. Pin the exact hit/miss accounting of the
+  // resolver's cache tier, and that a hit costs no backend traffic.
+  ResolverRig rig(tiers(/*slice=*/false, /*presolve=*/false));
+  Context& ctx = rig.ctx;
   ExprRef x = ctx.var("x", 8);
   ExprRef a = ctx.ult(x, ctx.constant(100, 8));
   ExprRef b = ctx.ugt(x, ctx.constant(10, 8));
   ExprRef c = ctx.eq(x, ctx.constant(50, 8));
+  Resolver& resolver = rig.resolver;
 
-  std::vector<std::vector<ExprRef>> stream = {
-      {a}, {a, b}, {a, b, c},  // first descent: three misses
-      {a, b},                  // sibling flip re-check: hit
-      {a},                     // back at the root: hit
-      {a, b, c},               // deepest prefix again: hit
-  };
-  for (const auto& query : stream)
-    EXPECT_EQ(cache.check(query, nullptr), CheckResult::kSat);
+  // First descent, one trace: {a}, {a, b}, {a, b, c} — three misses.
+  resolver.reset_prefix();
+  EXPECT_EQ(resolver.resolve_flip(a, nullptr), CheckResult::kSat);
+  resolver.extend_prefix(a);
+  EXPECT_EQ(resolver.resolve_flip(b, nullptr), CheckResult::kSat);
+  resolver.extend_prefix(b);
+  EXPECT_EQ(resolver.resolve_flip(c, nullptr), CheckResult::kSat);
+  const uint64_t scope_calls = rig.counts->scope_calls.load();
+  EXPECT_GT(scope_calls, 0u);
 
-  EXPECT_EQ(cache.stats().cache_hits, 3u);
-  EXPECT_EQ(cache.stats().cache_misses, 3u);
-  EXPECT_EQ(cache.stats().queries, 6u);
-  EXPECT_EQ(cache.cache().hits(), 3u);
-  EXPECT_EQ(cache.cache().misses(), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  // The inner backend only ever saw the misses.
-  EXPECT_EQ(cache.inner().stats().queries, 3u);
+  // Sibling re-check {a, b}, back at the root {a}, deepest again
+  // {a, b, c}: three hits, none of which opens a scope.
+  resolver.reset_prefix();
+  resolver.extend_prefix(a);
+  EXPECT_EQ(resolver.resolve_flip(b, nullptr), CheckResult::kSat);
+  resolver.reset_prefix();
+  EXPECT_EQ(resolver.resolve_flip(a, nullptr), CheckResult::kSat);
+  resolver.reset_prefix();
+  resolver.extend_prefix(a);
+  resolver.extend_prefix(b);
+  EXPECT_EQ(resolver.resolve_flip(c, nullptr), CheckResult::kSat);
+  resolver.reset_prefix();
+
+  EXPECT_EQ(resolver.ledger().cache_hits, 3u);
+  EXPECT_EQ(resolver.ledger().cache_misses, 3u);
+  EXPECT_EQ(resolver.stats().queries, 6u);
+  EXPECT_EQ(resolver.stats().cache_hits, 3u);
+  // The backend only ever saw the misses, and the hits left the scope
+  // shut: the second trace's only scope call is the reset's pop.
+  EXPECT_EQ(rig.counts->checks.load(), 3u);
+  EXPECT_EQ(rig.counts->scope_calls.load(), scope_calls + 1);
+  EXPECT_EQ(rig.solver->num_scopes(), 0u);
 }
 
 TEST(QueryCache, SharedAcrossSolversOverOneContext) {
+  // One solver's verdict answers the same query for another solver: the
+  // content-hash key does not depend on who built or solved the query.
   Context ctx;
   auto shared = std::make_shared<QueryCache>(/*shards=*/4);
-  CachingSolver first(make_z3_solver(ctx), shared);
-  CachingSolver second(make_z3_solver(ctx), shared);
+  auto first = make_z3_solver(ctx);
+  auto second = make_z3_solver(ctx);
   ExprRef x = ctx.var("x", 8);
   std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
+  const QueryCache::Key key = QueryCache::key_for(query);
 
-  Assignment m1, m2;
-  EXPECT_EQ(first.check(query, &m1), CheckResult::kSat);
-  EXPECT_EQ(second.check(query, &m2), CheckResult::kSat);
-  // The second solver answered from the first solver's work.
-  EXPECT_EQ(second.stats().cache_hits, 1u);
-  EXPECT_EQ(second.inner().stats().queries, 0u);
-  EXPECT_EQ(m1.get(x->var_id), m2.get(x->var_id));
+  QueryCache::Entry entry;
+  ASSERT_FALSE(shared->lookup(key, &entry));
+  Assignment m1;
+  ASSERT_EQ(first->check(query, &m1), CheckResult::kSat);
+  shared->insert(key, QueryCache::Entry{CheckResult::kSat, m1});
+
+  ASSERT_TRUE(shared->lookup(key, &entry));
+  EXPECT_EQ(entry.result, CheckResult::kSat);
+  EXPECT_EQ(entry.model.get(x->var_id), m1.get(x->var_id));
+  EXPECT_EQ(second->stats().queries, 0u);  // answered without solving
   EXPECT_EQ(shared->hits(), 1u);
   EXPECT_EQ(shared->misses(), 1u);
 }
@@ -267,37 +316,33 @@ std::unique_ptr<Solver> bitblast(Context& ctx) {
 std::unique_ptr<Solver> validating_z3(Context& ctx) {
   return std::make_unique<ValidatingSolver>(make_z3_solver(ctx));
 }
-std::unique_ptr<Solver> caching_z3(Context& ctx) {
-  return std::make_unique<CachingSolver>(make_z3_solver(ctx));
-}
 }  // namespace factories
 
 INSTANTIATE_TEST_SUITE_P(Backends, ScopedSolverApi,
                          ::testing::Values(&factories::z3, &factories::bitblast,
-                                           &factories::validating_z3,
-                                           &factories::caching_z3));
+                                           &factories::validating_z3));
 
-TEST(CachingSolver, IncrementalChecksShareKeysWithStatelessChecks) {
-  // The canonical key of scoped ∧ assumptions equals the stateless key of
-  // the same conjunction, so entries are shared between both styles.
-  Context ctx;
-  auto cache = std::make_shared<QueryCache>(/*shards=*/2);
-  CachingSolver incremental(make_z3_solver(ctx), cache);
-  CachingSolver stateless(make_z3_solver(ctx), cache);
+TEST(Resolver, IncrementalChecksShareKeysWithStatelessChecks) {
+  // A flip answered through the scoped API (prefix asserted, target as an
+  // assumption) and a candidate over the same conjunction share one key.
+  ResolverRig rig(tiers(/*slice=*/true, /*presolve=*/false));
+  Context& ctx = rig.ctx;
   ExprRef x = ctx.var("x", 8);
   ExprRef a = ctx.ult(x, ctx.constant(10, 8));
   ExprRef b = ctx.ugt(x, ctx.constant(3, 8));
 
-  incremental.push();
-  incremental.assert_(a);
-  std::vector<ExprRef> assumption = {b};
-  EXPECT_EQ(incremental.check_assuming(assumption, nullptr), CheckResult::kSat);
-  incremental.pop();
+  rig.resolver.reset_prefix();
+  rig.resolver.extend_prefix(a);
+  EXPECT_EQ(rig.resolver.resolve_flip(b, nullptr), CheckResult::kSat);
+  EXPECT_EQ(rig.solver->stats().incremental_checks, 1u);
 
-  std::vector<ExprRef> conjunction = {a, b};
-  EXPECT_EQ(stateless.check(conjunction, nullptr), CheckResult::kSat);
-  EXPECT_EQ(stateless.stats().cache_hits, 1u);
-  EXPECT_EQ(stateless.inner().stats().queries, 0u);
+  std::vector<ExprRef> prefix = {a};
+  EXPECT_EQ(rig.resolver.resolve_candidate(prefix, b, nullptr),
+            CheckResult::kSat);
+  EXPECT_EQ(rig.resolver.ledger().cache_hits, 1u);
+  EXPECT_EQ(rig.counts->checks.load(), 1u);
+  // The candidate needed the stateless API, so the flip scope is shut.
+  EXPECT_EQ(rig.solver->num_scopes(), 0u);
 }
 
 TEST(ValidatingSolver, ValidatesScopedAssertionsToo) {
@@ -327,20 +372,22 @@ TEST(Assignment, DefaultsToZero) {
 // (deadline hit) or crashes outright. check_assuming() goes through the
 // base-class adapter, so it funnels into check() there.
 
-TEST(CachingSolver, UnknownVerdictsAreNeverCached) {
+TEST(Resolver, UnknownVerdictsAreNeverCached) {
   // A deadline-induced unknown must not poison the cache: the same query
   // re-asked later (more time, another backend) must reach a backend again.
   Context ctx;
-  CachingSolver cache(std::make_unique<StubSolver>(StubSolver::Mode::kUnknown));
+  StubSolver backend(StubSolver::Mode::kUnknown);
+  Resolver resolver(ctx, backend, Resolver::Options{});
   ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
+  ExprRef q = ctx.ult(x, ctx.constant(10, 8));
 
-  EXPECT_EQ(cache.check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(cache.stats().cache_hits, 0u);
-  EXPECT_EQ(cache.stats().cache_misses, 2u);
-  EXPECT_EQ(cache.inner().stats().queries, 2u);  // both reached the backend
+  EXPECT_EQ(resolver.resolve_candidate({}, q, nullptr), CheckResult::kUnknown);
+  EXPECT_EQ(resolver.resolve_flip(q, nullptr), CheckResult::kUnknown);
+  EXPECT_EQ(resolver.ledger().cache_hits, 0u);
+  EXPECT_EQ(resolver.ledger().cache_misses, 2u);
+  EXPECT_EQ(resolver.ledger().unknown, 2u);
+  EXPECT_EQ(backend.stats().queries, 2u);  // both reached the backend
+  EXPECT_EQ(resolver.stats().unknown, 2u);
 }
 
 TEST(FailoverSolver, SecondaryRescuesUnknownPrimary) {
