@@ -245,13 +245,20 @@ TEST(QueryCache, ConcurrentLookupsAndInsertsAreConsistent) {
 // -- Scoped (incremental) API: native Z3, adapter-backed bitblast, and the
 // -- wrappers, all against the same script. ----------------------------------
 
-using SolverFactory = std::unique_ptr<Solver> (*)(Context&);
+/// A backend under test. Printed by name, so the discovered test names stay
+/// the same across builds (a bare function pointer prints as its address).
+struct Backend {
+  const char* name;
+  std::unique_ptr<Solver> (*make)(Context&);
+};
 
-class ScopedSolverApi : public ::testing::TestWithParam<SolverFactory> {};
+void PrintTo(const Backend& backend, std::ostream* os) { *os << backend.name; }
+
+class ScopedSolverApi : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(ScopedSolverApi, PrefixAssertedOnceAnswersEveryAssumption) {
   Context ctx;
-  auto solver = GetParam()(ctx);
+  auto solver = GetParam().make(ctx);
   ExprRef x = ctx.var("x", 8);
   ExprRef y = ctx.var("y", 8);
 
@@ -284,7 +291,7 @@ TEST_P(ScopedSolverApi, PrefixAssertedOnceAnswersEveryAssumption) {
 
 TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
   Context ctx;
-  auto solver = GetParam()(ctx);
+  auto solver = GetParam().make(ctx);
   ExprRef x = ctx.var("x", 8);
 
   solver->push();
@@ -304,7 +311,7 @@ TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
 
 TEST_P(ScopedSolverApi, PopWithoutPushThrows) {
   Context ctx;
-  auto solver = GetParam()(ctx);
+  auto solver = GetParam().make(ctx);
   EXPECT_THROW(solver->pop(), std::logic_error);
 }
 
@@ -318,9 +325,11 @@ std::unique_ptr<Solver> validating_z3(Context& ctx) {
 }
 }  // namespace factories
 
-INSTANTIATE_TEST_SUITE_P(Backends, ScopedSolverApi,
-                         ::testing::Values(&factories::z3, &factories::bitblast,
-                                           &factories::validating_z3));
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ScopedSolverApi,
+    ::testing::Values(Backend{"z3", &factories::z3},
+                      Backend{"bitblast", &factories::bitblast},
+                      Backend{"validating_z3", &factories::validating_z3}));
 
 TEST(Resolver, IncrementalChecksShareKeysWithStatelessChecks) {
   // A flip answered through the scoped API (prefix asserted, target as an
