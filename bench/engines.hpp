@@ -39,10 +39,10 @@ namespace binsym::bench {
 /// wrapped in a FailoverSolver: a kUnknown (timeout) or thrown backend
 /// failure on the primary retries once, statelessly, on the other backend.
 struct RobustnessOptions {
-  std::string solver = "z3";      // primary backend: "z3" | "bitblast" |
-                                  // "pipe:CMD" (docs/SOLVERS.md)
-  uint32_t query_timeout_ms = 0;  // per-query deadline; 0 = none
-  bool failover = true;           // retry unknowns on the other backend
+  std::string solver = "bitblast";  // primary backend: "bitblast" | "z3" |
+                                    // "pipe:CMD" (docs/SOLVERS.md)
+  uint32_t query_timeout_ms = 0;    // per-query deadline; 0 = none
+  bool failover = true;             // retry unknowns on the other backend
   // -- Solver portfolio (smt/portfolio.hpp). When on, each worker's backend
   // is a portfolio racing `portfolio_backends` per query; `solver` and
   // `failover` are ignored (a portfolio is already as strong as its
@@ -73,8 +73,8 @@ struct EngineSetup {
   /// to every worker built from this setup. Defaulted so three-member
   /// aggregate initialization keeps working.
   core::MachineConfig config{};
-  /// Solver deadline/failover knobs, also defaulted (no deadline, plain z3
-  /// backend) so existing aggregate initializations keep working.
+  /// Solver deadline/failover knobs, also defaulted (no deadline, plain
+  /// bitblast backend) so existing aggregate initializations keep working.
   RobustnessOptions robust{};
   /// Hash-cons expression nodes in every worker Context built from this
   /// setup (smt/context.hpp). Off = legacy fresh-node-per-call allocator,

@@ -8,7 +8,7 @@
 //           [--no-intern]
 //           [--no-snapshot] [--snapshot-budget N] [--snapshot-interval N]
 //           [--no-uop] [--uop-cache-size N]
-//           [--solver z3|bitblast|pipe:CMD] [--query-timeout-ms N]
+//           [--solver bitblast|z3|pipe:CMD] [--query-timeout-ms N]
 //           [--no-failover] [--portfolio] [--portfolio-backends LIST]
 //           [--solver-store DIR]
 //           [--deadline-secs N] [--memory-budget-mb N] [--fault-inject SPEC]
@@ -58,10 +58,10 @@ void print_usage(std::FILE* out, const char* prog) {
       "  --no-uop                 disable the micro-op block fast path\n"
       "                           (pure per-instruction spec interpretation)\n"
       "  --uop-cache-size N       cached micro-op blocks per worker\n"
-      "  --solver NAME            primary SMT backend (default z3); one of\n"
-      "                           z3, bitblast, pipe:CMD (external SMT-LIB\n"
-      "                           solver command, e.g. 'pipe:z3 -in' — see\n"
-      "                           docs/SOLVERS.md)\n"
+      "  --solver NAME            primary SMT backend (default bitblast);\n"
+      "                           one of bitblast, z3, pipe:CMD (external\n"
+      "                           SMT-LIB solver command, e.g. 'pipe:z3 -in'\n"
+      "                           — see docs/SOLVERS.md)\n"
       "  --query-timeout-ms N     per-solver-query deadline; a query that\n"
       "                           exceeds it returns unknown and the flip\n"
       "                           is skipped, never treated as infeasible\n"

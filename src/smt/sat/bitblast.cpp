@@ -15,7 +15,8 @@ BitBlaster::BitBlaster(CdclSolver& solver) : solver_(solver) {
 Lit BitBlaster::fresh() { return make_lit(solver_.new_var(), false); }
 
 void BitBlaster::clause(std::vector<Lit> lits) {
-  if (!solver_.add_clause(std::move(lits))) inconsistent_ = true;
+  [[maybe_unused]] bool consistent = solver_.add_clause(std::move(lits));
+  assert(consistent && "definitional clauses are always satisfiable");
 }
 
 // -- Gates (with constant short-circuiting). ----------------------------------
@@ -220,17 +221,28 @@ void BitBlaster::divide(const Bits& a, const Bits& b, Bits* quotient,
 
 // -- Expression layer. -------------------------------------------------------------
 
-const BitBlaster::Bits& BitBlaster::blast(ExprRef expr) {
-  postorder(expr, [this](ExprRef node) {
-    if (!memo_.count(node->id)) memo_.emplace(node->id, blast_node(node));
-  });
-  return memo_.at(expr->id);
+void BitBlaster::blast(ExprRef root) {
+  // Post-order that stops at blasted nodes, so a query over a mostly known
+  // DAG costs only its new nodes.
+  std::vector<std::pair<ExprRef, bool>> stack{{root, false}};
+  while (!stack.empty()) {
+    auto [node, expanded] = stack.back();
+    stack.pop_back();
+    if (blasted(node)) continue;
+    if (!expanded) {
+      stack.emplace_back(node, true);
+      for (unsigned i = 0; i < node->num_ops; ++i)
+        if (!blasted(node->ops[i])) stack.emplace_back(node->ops[i], false);
+      continue;
+    }
+    Bits bits = blast_node(node);
+    if (node->id >= memo_.size()) memo_.resize(node->id + 1);
+    memo_[node->id] = std::move(bits);
+  }
 }
 
 BitBlaster::Bits BitBlaster::blast_node(ExprRef e) {
-  auto op = [this, e](unsigned i) -> const Bits& {
-    return memo_.at(e->ops[i]->id);
-  };
+  auto op = [this, e](unsigned i) -> const Bits& { return memo_[e->ops[i]->id]; };
   unsigned width = e->width;
 
   switch (e->kind) {
@@ -343,10 +355,10 @@ BitBlaster::Bits BitBlaster::blast_node(ExprRef e) {
   return {};
 }
 
-void BitBlaster::assert_true(ExprRef expr) {
+Lit BitBlaster::literal(ExprRef expr) {
   assert(expr->width == 1);
-  const Bits& bits = blast(expr);
-  clause({bits[0]});
+  blast(expr);
+  return memo_[expr->id][0];
 }
 
 uint64_t BitBlaster::var_value(uint32_t var_id, unsigned width) const {

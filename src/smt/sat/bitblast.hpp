@@ -7,6 +7,12 @@
 // (guarded for the divisor==0 special cases); signed division/remainder
 // are built from the unsigned circuits via sign/magnitude conversion,
 // matching SMT-LIB exactly.
+//
+// The clauses are definitions only: Tseitin gates, the division circuit's
+// functional constraints and the constant-true unit. Every input
+// assignment extends to a model of them, so one BitBlaster can serve every
+// query of a solver's lifetime: a query's roots become solve assumptions,
+// and each node is blasted once, on first use.
 #pragma once
 
 #include <unordered_map>
@@ -23,8 +29,9 @@ class BitBlaster {
  public:
   explicit BitBlaster(CdclSolver& solver);
 
-  /// Assert a width-1 expression to be true.
-  void assert_true(ExprRef expr);
+  /// The literal that is true exactly when the width-1 `expr` is; blasts
+  /// the nodes of `expr` not blasted before.
+  Lit literal(ExprRef expr);
 
   /// After a kSat solve(): read back the value of a context variable.
   uint64_t var_value(uint32_t var_id, unsigned width) const;
@@ -33,9 +40,6 @@ class BitBlaster {
   const std::unordered_map<uint32_t, std::vector<Lit>>& vars() const {
     return var_bits_;
   }
-
-  /// True when the formula became unsat during encoding already.
-  bool inconsistent() const { return inconsistent_; }
 
  private:
   using Bits = std::vector<Lit>;  // LSB first
@@ -73,17 +77,17 @@ class BitBlaster {
 
   // -- expression layer ---------------------------------------------------------
 
-  const Bits& blast(ExprRef expr);
+  bool blasted(ExprRef expr) const {
+    return expr->id < memo_.size() && !memo_[expr->id].empty();
+  }
+  void blast(ExprRef root);
   Bits blast_node(ExprRef expr);
 
   CdclSolver& solver_;
   Lit true_lit_;
-  bool inconsistent_ = false;
-  std::unordered_map<uint32_t, Bits> memo_;      // expr id -> bits
+  std::vector<Bits> memo_;  // expr id (dense per context) -> bits; empty
+                            // until blasted
   std::unordered_map<uint32_t, Bits> var_bits_;  // context var id -> bits
 };
-
-/// smt::Solver backend built on BitBlaster + CdclSolver; constructed via
-/// make_bitblast_solver() (declared in smt/solver.hpp).
 
 }  // namespace binsym::smt::sat

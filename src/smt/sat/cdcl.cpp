@@ -12,14 +12,17 @@ Var CdclSolver::new_var() {
   level_.push_back(0);
   activity_.push_back(0.0);
   phase_.push_back(false);
+  seen_.push_back(0);
+  heap_pos_.push_back(-1);
   watches_.emplace_back();
   watches_.emplace_back();
+  heap_insert(var);
   return var;
 }
 
 bool CdclSolver::add_clause(std::vector<Lit> lits) {
   if (unsat_) return false;
-  assert(trail_lim_.empty() && "clauses must be added at decision level 0");
+  backtrack(0);  // drop the last solve()'s assignment; roots stay
 
   // Root-level simplification: drop false literals, detect tautologies and
   // already-satisfied clauses, deduplicate.
@@ -55,8 +58,8 @@ bool CdclSolver::add_clause(std::vector<Lit> lits) {
 
 void CdclSolver::attach(int clause_index) {
   const Clause& clause = clauses_[clause_index];
-  watches_[clause.lits[0]].push_back(clause_index);
-  watches_[clause.lits[1]].push_back(clause_index);
+  watches_[clause.lits[0]].push_back(Watch{clause_index, clause.lits[1]});
+  watches_[clause.lits[1]].push_back(Watch{clause_index, clause.lits[0]});
 }
 
 void CdclSolver::enqueue(Lit lit, int reason) {
@@ -75,18 +78,24 @@ int CdclSolver::propagate() {
     ++stats_.propagations;
     // Clauses watching ¬lit need a new watch or become unit/conflicting.
     Lit falsified = lit_not(lit);
-    std::vector<int>& watch_list = watches_[falsified];
+    std::vector<Watch>& watch_list = watches_[falsified];
     size_t kept = 0;
     for (size_t i = 0; i < watch_list.size(); ++i) {
-      int clause_index = watch_list[i];
+      // A true blocker satisfies the clause without touching its literals.
+      if (lit_value(watch_list[i].blocker) == 1) {
+        watch_list[kept++] = watch_list[i];
+        continue;
+      }
+      int clause_index = watch_list[i].clause;
       Clause& clause = clauses_[clause_index];
       // Normalize: watched literals are lits[0] and lits[1].
       if (clause.lits[0] == falsified)
         std::swap(clause.lits[0], clause.lits[1]);
       assert(clause.lits[1] == falsified);
 
+      const Watch kept_watch{clause_index, clause.lits[0]};
       if (lit_value(clause.lits[0]) == 1) {
-        watch_list[kept++] = clause_index;  // already satisfied
+        watch_list[kept++] = kept_watch;  // already satisfied
         continue;
       }
       // Find a replacement watch.
@@ -94,7 +103,7 @@ int CdclSolver::propagate() {
       for (size_t k = 2; k < clause.lits.size(); ++k) {
         if (lit_value(clause.lits[k]) != 0) {
           std::swap(clause.lits[1], clause.lits[k]);
-          watches_[clause.lits[1]].push_back(clause_index);
+          watches_[clause.lits[1]].push_back(kept_watch);
           moved = true;
           break;
         }
@@ -102,7 +111,7 @@ int CdclSolver::propagate() {
       if (moved) continue;
 
       // Unit or conflict.
-      watch_list[kept++] = clause_index;
+      watch_list[kept++] = kept_watch;
       if (lit_value(clause.lits[0]) == 0) {
         // Conflict: restore the untouched suffix of the watch list.
         for (size_t k = i + 1; k < watch_list.size(); ++k)
@@ -120,9 +129,58 @@ int CdclSolver::propagate() {
 void CdclSolver::bump_var(Var var) {
   activity_[var] += activity_inc_;
   if (activity_[var] > 1e100) {
+    // Uniform rescaling keeps the heap order.
     for (double& a : activity_) a *= 1e-100;
     activity_inc_ *= 1e-100;
   }
+  if (heap_pos_[var] >= 0) heap_up(static_cast<size_t>(heap_pos_[var]));
+}
+
+void CdclSolver::heap_insert(Var var) {
+  heap_pos_[var] = static_cast<int>(heap_.size());
+  heap_.push_back(var);
+  heap_up(heap_.size() - 1);
+}
+
+void CdclSolver::heap_up(size_t pos) {
+  Var var = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!heap_before(var, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heap_pos_[heap_[pos]] = static_cast<int>(pos);
+    pos = parent;
+  }
+  heap_[pos] = var;
+  heap_pos_[var] = static_cast<int>(pos);
+}
+
+void CdclSolver::heap_down(size_t pos) {
+  Var var = heap_[pos];
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_before(heap_[child + 1], heap_[child]))
+      ++child;
+    if (!heap_before(heap_[child], var)) break;
+    heap_[pos] = heap_[child];
+    heap_pos_[heap_[pos]] = static_cast<int>(pos);
+    pos = child;
+  }
+  heap_[pos] = var;
+  heap_pos_[var] = static_cast<int>(pos);
+}
+
+Var CdclSolver::heap_pop() {
+  Var top = heap_.front();
+  heap_pos_[top] = -1;
+  Var last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    heap_down(0);
+  }
+  return top;
 }
 
 void CdclSolver::decay_activities() { activity_inc_ /= 0.95; }
@@ -132,7 +190,7 @@ void CdclSolver::analyze(int conflict, std::vector<Lit>* learned,
   // First-UIP scheme.
   learned->clear();
   learned->push_back(0);  // slot for the asserting literal
-  std::vector<bool> seen(activity_.size(), false);
+  std::vector<char>& seen = seen_;  // all clear between calls
   int counter = 0;
   Lit asserting = 0;
   bool first_round = true;
@@ -167,6 +225,8 @@ void CdclSolver::analyze(int conflict, std::vector<Lit>* learned,
     reason = reason_[lit_var(asserting)];
   }
   (*learned)[0] = lit_not(asserting);
+  // Current-level marks were cleared by the walk; clear the rest.
+  for (size_t i = 1; i < learned->size(); ++i) seen[lit_var((*learned)[i])] = 0;
 
   // Backjump to the second-highest level in the learned clause.
   *backjump_level = 0;
@@ -185,6 +245,7 @@ void CdclSolver::backtrack(int target_level) {
     Var var = lit_var(trail_[i - 1]);
     assigns_[var] = -1;
     reason_[var] = kUndef;
+    if (heap_pos_[var] < 0) heap_insert(var);
   }
   trail_.resize(keep);
   trail_lim_.resize(target_level);
@@ -192,19 +253,16 @@ void CdclSolver::backtrack(int target_level) {
 }
 
 Lit CdclSolver::pick_branch() {
-  Var best = kUndef;
-  double best_activity = -1.0;
-  for (Var var = 0; var < static_cast<Var>(activity_.size()); ++var) {
-    if (assigns_[var] == -1 && activity_[var] > best_activity) {
-      best = var;
-      best_activity = activity_[var];
-    }
+  // Assigned variables leave the heap lazily, here; backtrack() re-inserts.
+  while (!heap_.empty()) {
+    Var var = heap_pop();
+    if (assigns_[var] == -1) return make_lit(var, !phase_[var]);
   }
-  if (best == kUndef) return kUndef;
-  return make_lit(best, !phase_[best]);
+  return kUndef;
 }
 
-SatResult CdclSolver::solve() {
+SatResult CdclSolver::solve(std::span<const Lit> assumptions) {
+  backtrack(0);
   if (unsat_) return SatResult::kUnsat;
   if (propagate() != kUndef) {
     unsat_ = true;
@@ -260,8 +318,28 @@ SatResult CdclSolver::solve() {
       continue;
     }
 
-    Lit decision = pick_branch();
-    if (decision == kUndef) return SatResult::kSat;  // all assigned
+    // Assumption i is the decision of level i + 1. One already true opens
+    // an empty level, so the numbering survives backjumps and restarts; one
+    // already false is refuted by the clauses and the assumptions before it.
+    Lit decision = kUndef;
+    while (decision == kUndef &&
+           static_cast<size_t>(decision_level()) < assumptions.size()) {
+      Lit assumption = assumptions[decision_level()];
+      int8_t v = lit_value(assumption);
+      if (v == 0) return SatResult::kUnsat;
+      if (v == 1)
+        trail_lim_.push_back(static_cast<int>(trail_.size()));
+      else
+        decision = assumption;
+    }
+    if (decision == kUndef) {
+      // All assigned: a model. Checked before pick_branch() so the heap
+      // is not drained of the assigned variables only to refill it at the
+      // next backtrack.
+      if (trail_.size() == assigns_.size()) return SatResult::kSat;
+      decision = pick_branch();
+      assert(decision != kUndef && "every unassigned variable is in the heap");
+    }
     ++stats_.decisions;
     trail_lim_.push_back(static_cast<int>(trail_.size()));
     enqueue(decision, kUndef);

@@ -2,9 +2,16 @@
 //
 // Backs the project's own bit-blasting solver backend: two-watched-literal
 // propagation, first-UIP conflict analysis with clause learning and
-// backjumping, VSIDS-like activity decisions with phase saving, and
-// geometric restarts. Small by design, but a real solver — property tests
-// cross-check it against Z3 on engine-generated queries.
+// backjumping, VSIDS-like activity decisions (a binary heap) with phase
+// saving, and geometric restarts. Small by design, but a real solver —
+// property tests cross-check it against Z3 on engine-generated queries.
+//
+// Incremental in the MiniSat style (Eén & Sörensson, "An Extensible
+// SAT-solver", SAT 2003): one instance answers many solve(assumptions)
+// calls. Assumption literals are the first decisions, so a false one ends
+// the call with kUnsat without touching the clause database; clauses may be
+// added between calls, and learnt clauses (implied by the clauses alone,
+// never by the assumptions) are kept for every later call.
 #pragma once
 
 #include <atomic>
@@ -12,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace binsym::smt::sat {
@@ -40,26 +48,34 @@ class CdclSolver {
   Var new_var();
   int num_vars() const { return static_cast<int>(activity_.size()); }
 
-  /// Add a clause; returns false if the formula became trivially unsat
-  /// (empty clause after simplification against root-level assignments).
+  /// Add a clause, also between solve() calls; returns false if the
+  /// formula became trivially unsat (empty clause after simplification
+  /// against root-level assignments). Discards the last solve()'s model.
   bool add_clause(std::vector<Lit> lits);
 
-  /// Abandon the search (returning kUnknown) once this instant passes.
-  /// Probed every few hundred search-loop iterations, so the overrun is
-  /// bounded by one propagation burst, not by total query hardness.
-  void set_deadline(std::chrono::steady_clock::time_point deadline) {
+  /// Abandon the search (returning kUnknown) once this instant passes;
+  /// nullopt removes the deadline. Probed every few hundred search-loop
+  /// iterations, so the overrun is bounded by one propagation burst, not by
+  /// total query hardness.
+  void set_deadline(
+      std::optional<std::chrono::steady_clock::time_point> deadline) {
     deadline_ = deadline;
   }
 
   /// Cooperative interrupt: abandon the search (returning kUnknown) once
   /// *flag becomes true. Probed alongside the deadline; the flag is owned
   /// by the caller (another thread may set it — smt::Solver::cancel()) and
-  /// must outlive solve().
+  /// must outlive every solve().
   void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
 
-  SatResult solve();
+  /// Is the clause set satisfiable with every literal of `assumptions` true?
+  /// kUnsat under assumptions says nothing about the clauses alone. A
+  /// kUnknown (deadline or interrupt) leaves the instance valid for the
+  /// next call.
+  SatResult solve(std::span<const Lit> assumptions = {});
 
-  /// Model access (valid after solve() returned kSat).
+  /// Model access: valid after solve() returned kSat, until the next
+  /// add_clause() or solve().
   bool value(Var var) const { return assigns_[var] == 1; }
 
   const CdclStats& stats() const { return stats_; }
@@ -71,6 +87,13 @@ class CdclSolver {
     std::vector<Lit> lits;
     bool learned = false;
   };
+  /// A watch of a clause, with one of its other literals as the blocker
+  /// (MiniSat 2.2): while the blocker is true the clause is satisfied and
+  /// propagation skips it without reading the clause.
+  struct Watch {
+    int clause;
+    Lit blocker;
+  };
 
   // -1 unassigned, 0 false, 1 true (per variable).
   int8_t lit_value(Lit lit) const {
@@ -78,6 +101,7 @@ class CdclSolver {
     if (v < 0) return -1;
     return lit_negated(lit) ? static_cast<int8_t>(1 - v) : v;
   }
+  int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
   void enqueue(Lit lit, int reason);
   int propagate();  // returns conflicting clause index or kUndef
@@ -88,13 +112,28 @@ class CdclSolver {
   void decay_activities();
   void attach(int clause_index);
 
+  // Decision order: a binary max-heap of variables by (activity desc, var
+  // asc) — the same choice a linear scan for the most active unassigned
+  // variable makes, at O(log n) per decision.
+  bool heap_before(Var a, Var b) const {
+    return activity_[a] > activity_[b] ||
+           (activity_[a] == activity_[b] && a < b);
+  }
+  void heap_insert(Var var);
+  void heap_up(size_t pos);
+  void heap_down(size_t pos);
+  Var heap_pop();
+
   std::vector<Clause> clauses_;
-  std::vector<std::vector<int>> watches_;  // per literal: clause indices
-  std::vector<int8_t> assigns_;            // per var
-  std::vector<int> reason_;                // per var: clause index or kUndef
-  std::vector<int> level_;                 // per var
-  std::vector<double> activity_;           // per var
-  std::vector<bool> phase_;                // per var: saved polarity
+  std::vector<std::vector<Watch>> watches_;  // per literal
+  std::vector<int8_t> assigns_;              // per var
+  std::vector<int> reason_;                  // per var: clause index or kUndef
+  std::vector<int> level_;                   // per var
+  std::vector<double> activity_;             // per var
+  std::vector<bool> phase_;                  // per var: saved polarity
+  std::vector<char> seen_;                   // per var: analyze() scratch
+  std::vector<Var> heap_;                    // decision order
+  std::vector<int> heap_pos_;                // per var: index in heap_ or -1
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   size_t propagate_head_ = 0;

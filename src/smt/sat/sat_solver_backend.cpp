@@ -1,12 +1,20 @@
 // smt::Solver backend over the in-tree bit-blaster + CDCL solver.
 //
-// Each check() builds a fresh CNF (no native incrementality — the scoped
-// push/pop/assert_/check_assuming API is served by the Solver base class's
-// client-side adapter, and the engine's query cache absorbs repetition).
-// Exists as (a) an ablation subject against Z3 and (b) a differential
-// oracle for the SMT layer: the property tests require both backends to
-// agree on sat/unsat for engine-generated queries.
+// Incremental in the MiniSat style: a CdclSolver and its BitBlaster live
+// as long as the backend, so each expression node is blasted once per
+// instance (nodes are hash-consed and the blaster memoizes by node id) and
+// learnt clauses carry over from one check to the next. The CNF holds only
+// definitions (bitblast.hpp), so nothing a query asks is ever a clause:
+// check() and check_assuming() each become one CdclSolver::solve() under
+// the root literals of the scoped assertions and the query as assumptions.
+// The base class's client-side scope stack is therefore the whole scope
+// machinery — push/pop/assert_ need no override and no activation literals.
+//
+// The default primary backend; also the differential oracle for the SMT
+// layer, where the property tests require it and Z3 to agree on sat/unsat
+// for engine-generated queries.
 #include <chrono>
+#include <memory>
 
 #include "smt/sat/bitblast.hpp"
 #include "smt/solver.hpp"
@@ -17,10 +25,34 @@ namespace {
 
 class BitblastSolver final : public Solver {
  public:
-  explicit BitblastSolver(Context& ctx) : ctx_(ctx) {}
+  explicit BitblastSolver(Context& ctx) : ctx_(ctx) {
+    scoped_instance_.cdcl.set_interrupt(&cancel_flag_);
+    stateless_instance_.cdcl.set_interrupt(&cancel_flag_);
+  }
 
   CheckResult check(std::span<const ExprRef> assertions,
                     Assignment* model) override {
+    return solve(stateless_instance_, {}, assertions, model);
+  }
+
+  CheckResult check_assuming(std::span<const ExprRef> assumptions,
+                             Assignment* model) override {
+    ++stats_.incremental_checks;
+    stats_.reused_assertions += scoped_.size();
+    return solve(scoped_instance_, scoped_, assumptions, model);
+  }
+
+  std::string name() const override { return "bitblast+cdcl"; }
+
+ private:
+  struct Instance {
+    sat::CdclSolver cdcl;
+    sat::BitBlaster blaster{cdcl};
+  };
+
+  /// One solve of `instance` under the root literals of `scoped` ∧ `query`.
+  CheckResult solve(Instance& instance, std::span<const ExprRef> scoped,
+                    std::span<const ExprRef> query, Assignment* model) {
     auto start = std::chrono::steady_clock::now();
     ++stats_.queries;
 
@@ -31,38 +63,33 @@ class BitblastSolver final : public Solver {
       return CheckResult::kUnknown;
     }
 
-    sat::CdclSolver solver;
     // The per-query deadline covers the whole check (blasting + search);
     // only the CDCL loop probes it and the cancel flag, but blasting is
-    // polynomial in the DAG so the search dominates every hard query.
-    if (deadline_ms_ > 0) {
-      solver.set_deadline(start + std::chrono::milliseconds(deadline_ms_));
-    }
-    solver.set_interrupt(&cancel_flag_);
-    sat::BitBlaster blaster(solver);
-    for (ExprRef assertion : assertions) blaster.assert_true(assertion);
+    // polynomial in the new nodes so the search dominates every hard query.
+    instance.cdcl.set_deadline(
+        deadline_ms_ > 0
+            ? std::optional(start + std::chrono::milliseconds(deadline_ms_))
+            : std::nullopt);
+    roots_.clear();
+    for (ExprRef root : scoped) roots_.push_back(instance.blaster.literal(root));
+    for (ExprRef root : query) roots_.push_back(instance.blaster.literal(root));
 
-    CheckResult result;
-    if (cancel_requested()) {
-      result = CheckResult::kUnknown;
-    } else if (blaster.inconsistent()) {
-      result = CheckResult::kUnsat;
-    } else {
-      switch (solver.solve()) {
-        case sat::SatResult::kSat:     result = CheckResult::kSat; break;
-        case sat::SatResult::kUnsat:   result = CheckResult::kUnsat; break;
-        case sat::SatResult::kUnknown: result = CheckResult::kUnknown; break;
-        default:                       result = CheckResult::kUnknown; break;
-      }
+    CheckResult result = CheckResult::kUnknown;
+    switch (instance.cdcl.solve(roots_)) {
+      case sat::SatResult::kSat:     result = CheckResult::kSat; break;
+      case sat::SatResult::kUnsat:   result = CheckResult::kUnsat; break;
+      case sat::SatResult::kUnknown: result = CheckResult::kUnknown; break;
     }
 
     if (result == CheckResult::kSat) {
       ++stats_.sat;
+      // Every variable blasted so far gets a value, like the Z3 backend's
+      // models over its persistent variable registry.
       if (model) {
-        for (const auto& [var_id, bits] : blaster.vars()) {
+        for (const auto& [var_id, bits] : instance.blaster.vars()) {
           (void)bits;
-          model->set(var_id,
-                     blaster.var_value(var_id, ctx_.var_info(var_id).width));
+          model->set(var_id, instance.blaster.var_value(
+                                 var_id, ctx_.var_info(var_id).width));
         }
       }
     } else if (result == CheckResult::kUnsat) {
@@ -77,10 +104,15 @@ class BitblastSolver final : public Solver {
     return result;
   }
 
-  std::string name() const override { return "bitblast+cdcl"; }
-
- private:
   Context& ctx_;
+  // Flips (check_assuming) and stateless checks (oracle candidates, failover
+  // rescues, portfolio races) solve on separate instances, so a flip's
+  // model depends only on the flips before it: a cost-only toggle that
+  // removes candidate checks (static pruning) then leaves even a capped
+  // exploration's path set unchanged.
+  Instance scoped_instance_;
+  Instance stateless_instance_;
+  std::vector<sat::Lit> roots_;  // scratch: this check's assumptions
 };
 
 }  // namespace

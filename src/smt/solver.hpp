@@ -99,9 +99,11 @@ class Solver {
   // conjunction per flip. The base-class implementation keeps the scoped
   // assertions client-side and answers check_assuming() via one stateless
   // check() over scoped + assumptions — a correct compatibility adapter for
-  // any backend (the bit-blasting one uses it as-is). Backends with native
-  // incrementality (Z3) override all four and keep the assertion stack in
-  // the solver, where learned clauses survive across flips.
+  // any backend. Z3 overrides all four and keeps the assertion stack in the
+  // solver, where learned clauses survive across flips. The bit-blaster
+  // keeps the client-side stack and overrides only check_assuming(): it
+  // solves scoped + assumptions as assumptions of one persistent CDCL
+  // instance, whose learnt clauses survive every check.
 
   /// Open a new assertion scope.
   virtual void push();
@@ -174,7 +176,8 @@ class Solver {
 /// Construct the Z3-backed solver (see z3_solver.cpp).
 std::unique_ptr<Solver> make_z3_solver(Context& ctx);
 
-/// Construct the built-in bit-blasting solver (see sat/).
+/// Construct the built-in bit-blasting solver, the default primary backend
+/// (see sat/sat_solver_backend.cpp).
 std::unique_ptr<Solver> make_bitblast_solver(Context& ctx);
 
 /// Validates every kSat model by concrete evaluation before returning it —

@@ -1,7 +1,10 @@
 // Z3 backend: translates the expression DAG to Z3 ASTs through the C API
-// (memoized per query) and extracts integer models. Z3 is the solver used
-// by the paper's evaluation; all engines in this repository share this
-// backend so comparisons never benchmark the solver (paper, Sect. V).
+// (memoized for the solver's lifetime) and extracts integer models. Z3 is
+// the solver used by the paper's evaluation: the paper harnesses build
+// every engine over this backend (bench::EngineInstance), so engine
+// comparisons never benchmark the solver (paper, Sect. V). Elsewhere it is
+// the `--solver z3` choice, the failover secondary behind the default
+// bit-blaster, and the reference of the differential suites.
 #include <z3.h>
 
 #include <cassert>
@@ -32,9 +35,11 @@ class Z3Solver final : public Solver {
     z3_ = Z3_mk_context(cfg);
     Z3_del_config(cfg);
     Z3_set_error_handler(z3_, record_z3_error);
-    // One incremental QF_BV solver reused across all queries (fresh
-    // general-purpose solvers pay multi-millisecond setup per check).
-    solver_ = Z3_mk_solver_for_logic(z3_, Z3_mk_string_symbol(z3_, "QF_BV"));
+    // One incremental solver reused across all queries (fresh solvers pay
+    // multi-millisecond setup per check). The simple solver is Z3's plain
+    // incremental SMT core; on the engine's many small, similar flip queries
+    // it measured about twice as fast as the QF_BV logic solver.
+    solver_ = Z3_mk_simple_solver(z3_);
     Z3_solver_inc_ref(z3_, solver_);
   }
 

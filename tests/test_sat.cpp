@@ -3,6 +3,10 @@
 // both the concrete evaluator and Z3 on random expression queries.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <vector>
+
 #include "smt/eval.hpp"
 #include "smt/sat/bitblast.hpp"
 #include "smt/sat/cdcl.hpp"
@@ -15,6 +19,7 @@ namespace {
 
 using sat::CdclSolver;
 using sat::Lit;
+using sat::lit_not;
 using sat::make_lit;
 using sat::SatResult;
 using sat::Var;
@@ -112,6 +117,176 @@ TEST(Cdcl, RandomInstancesAgreeWithBruteForce) {
     bool cdcl_sat = consistent && solver.solve() == SatResult::kSat;
     EXPECT_EQ(cdcl_sat, brute_sat) << "round " << round;
   }
+}
+
+// -- Incremental solving under assumptions. -------------------------------------
+
+using Cnf = std::vector<std::vector<Lit>>;
+
+bool holds(const CdclSolver& solver, Lit lit) {
+  return solver.value(sat::lit_var(lit)) != sat::lit_negated(lit);
+}
+
+/// Does the solver's current model satisfy every clause of `cnf`?
+bool satisfies(const CdclSolver& solver, const Cnf& cnf) {
+  for (const auto& clause : cnf) {
+    bool any = false;
+    for (Lit lit : clause) any |= holds(solver, lit);
+    if (!any) return false;
+  }
+  return true;
+}
+
+std::vector<Lit> random_clause(Rng& rng, int num_vars) {
+  std::vector<Lit> clause;
+  for (int k = 0; k < 3; ++k)
+    clause.push_back(make_lit(static_cast<Var>(rng.below(num_vars)), rng.flip()));
+  return clause;
+}
+
+/// A fresh solver's verdict on `cnf` with every assumption as a unit clause.
+SatResult fresh_verdict(int num_vars, const Cnf& cnf,
+                        const std::vector<Lit>& assumptions) {
+  CdclSolver fresh;
+  for (int v = 0; v < num_vars; ++v) fresh.new_var();
+  bool consistent = true;
+  for (const auto& clause : cnf) consistent = fresh.add_clause(clause) && consistent;
+  for (Lit lit : assumptions) consistent = fresh.add_clause({lit}) && consistent;
+  return consistent ? fresh.solve() : SatResult::kUnsat;
+}
+
+TEST(Cdcl, PersistentInstanceAgreesWithFreshSolversUnderAssumptions) {
+  // One instance answers hundreds of assumption sets, with clauses added
+  // between solves; every verdict must match a fresh solver given the same
+  // CNF plus the assumptions as unit clauses, and every model must satisfy
+  // both. Learnt clauses from earlier calls must never leak an assumption.
+  Rng rng(7);
+  const int num_vars = 14;
+  Cnf cnf;
+  for (int i = 0; i < 36; ++i) cnf.push_back(random_clause(rng, num_vars));
+  CdclSolver persistent;
+  for (int v = 0; v < num_vars; ++v) persistent.new_var();
+  for (const auto& clause : cnf) ASSERT_TRUE(persistent.add_clause(clause));
+
+  int sat = 0, unsat = 0;
+  for (int round = 0; round < 400; ++round) {
+    if (round % 100 == 99) {
+      cnf.push_back(random_clause(rng, num_vars));
+      ASSERT_TRUE(persistent.add_clause(cnf.back())) << "round " << round;
+    }
+    std::vector<Lit> assumptions;
+    for (uint64_t n = 1 + rng.below(6); n > 0; --n)
+      assumptions.push_back(make_lit(static_cast<Var>(rng.below(num_vars)),
+                                     rng.flip()));
+    const SatResult got = persistent.solve(assumptions);
+    ASSERT_EQ(got, fresh_verdict(num_vars, cnf, assumptions))
+        << "round " << round;
+    if (got == SatResult::kSat) {
+      ++sat;
+      EXPECT_TRUE(satisfies(persistent, cnf)) << "round " << round;
+      for (Lit lit : assumptions)
+        EXPECT_TRUE(holds(persistent, lit)) << "round " << round;
+    } else {
+      ++unsat;
+    }
+  }
+  // Both verdicts are well represented, so neither path is vacuous.
+  EXPECT_GT(sat, 100);
+  EXPECT_GT(unsat, 100);
+  EXPECT_GT(persistent.stats().learned_clauses, 0u);
+}
+
+/// Pigeonhole PHP(holes + 1, holes) with every "one pigeon per hole" clause
+/// relaxed by a selector variable: unsat under ¬selector, and hard enough
+/// that refuting it takes many conflicts; sat under selector.
+struct RelaxedPigeonhole {
+  Cnf cnf;
+  Lit selector;
+};
+
+RelaxedPigeonhole relaxed_pigeonhole(CdclSolver& solver, int holes) {
+  RelaxedPigeonhole php;
+  php.selector = make_lit(solver.new_var(), false);
+  std::vector<std::vector<Var>> p(holes + 1, std::vector<Var>(holes));
+  for (auto& row : p)
+    for (Var& v : row) v = solver.new_var();
+  for (const auto& row : p) {
+    std::vector<Lit> some_hole;
+    for (Var v : row) some_hole.push_back(make_lit(v, false));
+    php.cnf.push_back(some_hole);
+  }
+  for (int j = 0; j < holes; ++j)
+    for (int i1 = 0; i1 <= holes; ++i1)
+      for (int i2 = i1 + 1; i2 <= holes; ++i2)
+        php.cnf.push_back({make_lit(p[i1][j], true), make_lit(p[i2][j], true),
+                           php.selector});
+  for (const auto& clause : php.cnf) solver.add_clause(clause);
+  return php;
+}
+
+TEST(Cdcl, SatAnswerAfterUnsatUnderAssumptionsIsCorrect) {
+  CdclSolver solver;
+  RelaxedPigeonhole php = relaxed_pigeonhole(solver, 4);
+  const std::vector<Lit> strict = {lit_not(php.selector)};
+  const std::vector<Lit> relaxed = {php.selector};
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    ASSERT_EQ(solver.solve(strict), SatResult::kUnsat) << "repeat " << repeat;
+    ASSERT_EQ(solver.solve(relaxed), SatResult::kSat) << "repeat " << repeat;
+    EXPECT_TRUE(satisfies(solver, php.cnf));
+    EXPECT_TRUE(holds(solver, php.selector));
+    // No assumptions at all: the clauses alone are satisfiable.
+    ASSERT_EQ(solver.solve(), SatResult::kSat) << "repeat " << repeat;
+    EXPECT_TRUE(satisfies(solver, php.cnf));
+  }
+  EXPECT_GT(solver.stats().conflicts, 0u);
+}
+
+TEST(Cdcl, FalseAssumptionAtRootIsUnsatWithoutPoisoningTheInstance) {
+  CdclSolver solver;
+  Var a = solver.new_var(), b = solver.new_var();
+  ASSERT_TRUE(solver.add_clause({make_lit(a, false)}));  // a at the root
+  const std::vector<Lit> not_a = {make_lit(a, true)};
+  EXPECT_EQ(solver.solve(not_a), SatResult::kUnsat);
+  // Contradictory assumptions over a free variable.
+  const std::vector<Lit> b_and_not_b = {make_lit(b, false), make_lit(b, true)};
+  EXPECT_EQ(solver.solve(b_and_not_b), SatResult::kUnsat);
+  const std::vector<Lit> not_b = {make_lit(b, true)};
+  ASSERT_EQ(solver.solve(not_b), SatResult::kSat);
+  EXPECT_TRUE(solver.value(a));
+  EXPECT_FALSE(solver.value(b));
+}
+
+TEST(Cdcl, StoppedSolveLeavesTheInstanceUsable) {
+  // A deadline or an interrupt stops the search mid-way (kUnknown proves it
+  // had not finished); the next solve on the same instance must still give
+  // the right verdict, sat or unsat.
+  CdclSolver solver;
+  RelaxedPigeonhole php = relaxed_pigeonhole(solver, 5);
+  const std::vector<Lit> strict = {lit_not(php.selector)};
+  const std::vector<Lit> relaxed = {php.selector};
+
+  std::atomic<bool> interrupt{true};
+  solver.set_interrupt(&interrupt);
+  ASSERT_EQ(solver.solve(strict), SatResult::kUnknown);
+  interrupt = false;
+  ASSERT_EQ(solver.solve(relaxed), SatResult::kSat);
+  EXPECT_TRUE(satisfies(solver, php.cnf));
+  interrupt = true;
+  ASSERT_EQ(solver.solve(strict), SatResult::kUnknown);
+  interrupt = false;
+  EXPECT_EQ(solver.solve(strict), SatResult::kUnsat);
+
+  CdclSolver timed;
+  RelaxedPigeonhole timed_php = relaxed_pigeonhole(timed, 5);
+  timed.set_deadline(std::chrono::steady_clock::now() -
+                     std::chrono::milliseconds(1));
+  const std::vector<Lit> timed_strict = {lit_not(timed_php.selector)};
+  ASSERT_EQ(timed.solve(timed_strict), SatResult::kUnknown);
+  timed.set_deadline(std::nullopt);
+  EXPECT_EQ(timed.solve(timed_strict), SatResult::kUnsat);
+  const std::vector<Lit> timed_relaxed = {timed_php.selector};
+  ASSERT_EQ(timed.solve(timed_relaxed), SatResult::kSat);
+  EXPECT_TRUE(satisfies(timed, timed_php.cnf));
 }
 
 // -- Bit-blasting backend. ------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "smt/resolver.hpp"
 #include "smt/solver.hpp"
 #include "solver_test_util.hpp"
+#include "support/rng.hpp"
 
 namespace binsym::smt {
 namespace {
@@ -242,7 +244,7 @@ TEST(QueryCache, ConcurrentLookupsAndInsertsAreConsistent) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// -- Scoped (incremental) API: native Z3, adapter-backed bitblast, and the
+// -- Scoped (incremental) API: native Z3, assumption-based bitblast, and the
 // -- wrappers, all against the same script. ----------------------------------
 
 /// A backend under test. Printed by name, so the discovered test names stay
@@ -318,7 +320,7 @@ TEST_P(ScopedSolverApi, PopWithoutPushThrows) {
 namespace factories {
 std::unique_ptr<Solver> z3(Context& ctx) { return make_z3_solver(ctx); }
 std::unique_ptr<Solver> bitblast(Context& ctx) {
-  return make_bitblast_solver(ctx);  // exercises the base-class adapter
+  return make_bitblast_solver(ctx);  // client-side scope, CDCL assumptions
 }
 std::unique_ptr<Solver> validating_z3(Context& ctx) {
   return std::make_unique<ValidatingSolver>(make_z3_solver(ctx));
@@ -330,6 +332,122 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Backend{"z3", &factories::z3},
                       Backend{"bitblast", &factories::bitblast},
                       Backend{"validating_z3", &factories::validating_z3}));
+
+// -- The bit-blaster keeps its CNFs for its lifetime and passes every query
+// -- root as an assumption. Each test below fails if a root were ever added
+// -- as a permanent unit clause instead. ---------------------------------------
+
+TEST(BitblastIncremental, StatelessQueryRootsDoNotOutliveTheirCheck) {
+  Context ctx;
+  auto solver = make_bitblast_solver(ctx);
+  ExprRef x = ctx.var("x", 8);
+  std::vector<ExprRef> one = {ctx.eq(x, ctx.constant(1, 8))};
+  std::vector<ExprRef> two = {ctx.eq(x, ctx.constant(2, 8))};
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    Assignment model;
+    ASSERT_EQ(solver->check(one, &model), CheckResult::kSat);
+    EXPECT_EQ(model.get(x->var_id), 1u);
+    ASSERT_EQ(solver->check(two, &model), CheckResult::kSat);
+    EXPECT_EQ(model.get(x->var_id), 2u);
+  }
+}
+
+TEST(BitblastIncremental, PoppedConstraintStopsRestricting) {
+  Context ctx;
+  auto solver = make_bitblast_solver(ctx);
+  ExprRef x = ctx.var("x", 8);
+  std::vector<ExprRef> is_200 = {ctx.eq(x, ctx.constant(200, 8))};
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    solver->push();
+    solver->assert_(ctx.ult(x, ctx.constant(10, 8)));
+    EXPECT_EQ(solver->check_assuming(is_200, nullptr), CheckResult::kUnsat);
+    solver->pop();
+    Assignment model;
+    ASSERT_EQ(solver->check_assuming(is_200, &model), CheckResult::kSat);
+    EXPECT_EQ(model.get(x->var_id), 200u);
+    ASSERT_EQ(solver->check(is_200, &model), CheckResult::kSat);
+    EXPECT_EQ(model.get(x->var_id), 200u);
+  }
+}
+
+TEST(BitblastIncremental, ScopedFlipsInterleavedWithCandidatesMatchZ3) {
+  // The Resolver's traffic: each trace's prefix goes into a scope and its
+  // flips are checked as assumptions; oracle candidates are stateless
+  // checks with every scope closed. One bit-blaster serves the whole mix
+  // and must give Z3's verdict, with valid models, on every check.
+  Context ctx;
+  auto bb = make_bitblast_solver(ctx);
+  auto z3 = make_z3_solver(ctx);
+  ExprRef x = ctx.var("x", 8);
+  ExprRef y = ctx.var("y", 8);
+  Rng rng(11);
+  auto random_constraint = [&]() -> ExprRef {
+    ExprRef lhs = rng.flip() ? x : ctx.add(x, y);
+    ExprRef rhs = ctx.constant(rng.below(256), 8);
+    switch (rng.below(4)) {
+      case 0: return ctx.ult(lhs, rhs);
+      case 1: return ctx.ugt(lhs, rhs);
+      case 2: return ctx.eq(ctx.and_(y, ctx.constant(0x0f, 8)), rhs);
+      default: return ctx.not_(ctx.eq(lhs, rhs));
+    }
+  };
+  auto expect_valid = [](std::span<const ExprRef> query, const Assignment& m) {
+    for (ExprRef assertion : query) EXPECT_EQ(evaluate(assertion, m), 1u);
+  };
+  int sat = 0, unsat = 0;
+  for (int trace = 0; trace < 30; ++trace) {
+    std::vector<ExprRef> prefix;
+    bb->push();
+    for (int depth = 0; depth < 4; ++depth) {
+      ExprRef constraint = random_constraint();
+      bb->assert_(constraint);
+      prefix.push_back(constraint);
+      ExprRef flip = random_constraint();
+      std::vector<ExprRef> query = prefix;
+      query.push_back(flip);
+      Assignment model;
+      const CheckResult got = bb->check_assuming(std::span(&flip, 1), &model);
+      ASSERT_EQ(got, z3->check(query, nullptr)) << "trace " << trace;
+      if (got == CheckResult::kSat) expect_valid(query, model);
+      (got == CheckResult::kSat ? sat : unsat)++;
+    }
+    bb->pop();
+    std::vector<ExprRef> candidate = {random_constraint(), random_constraint()};
+    Assignment model;
+    const CheckResult got = bb->check(candidate, &model);
+    ASSERT_EQ(got, z3->check(candidate, nullptr)) << "trace " << trace;
+    if (got == CheckResult::kSat) expect_valid(candidate, model);
+  }
+  EXPECT_GT(sat, 10);
+  EXPECT_GT(unsat, 10);
+}
+
+TEST(BitblastIncremental, DivisionByZeroThenNonzeroBothSat) {
+  // The division circuit's functional constraints are guarded by
+  // "divisor != 0"; a query pinning the divisor to 0 must leave the next
+  // query's nonzero divisor free, and the other way round.
+  Context ctx;
+  auto solver = make_bitblast_solver(ctx);
+  ExprRef x = ctx.var("x", 8);
+  ExprRef d = ctx.var("d", 8);
+  ExprRef q = ctx.udiv(x, d);
+  ExprRef r = ctx.urem(x, d);
+  std::vector<ExprRef> by_zero = {ctx.eq(d, ctx.constant(0, 8)),
+                                  ctx.eq(x, ctx.constant(5, 8)),
+                                  ctx.eq(q, ctx.constant(0xff, 8)),
+                                  ctx.eq(r, x)};
+  std::vector<ExprRef> by_three = {ctx.eq(d, ctx.constant(3, 8)),
+                                   ctx.eq(q, ctx.constant(1, 8)),
+                                   ctx.eq(r, ctx.constant(2, 8))};
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    Assignment model;
+    ASSERT_EQ(solver->check(by_zero, &model), CheckResult::kSat);
+    EXPECT_EQ(model.get(d->var_id), 0u);
+    ASSERT_EQ(solver->check(by_three, &model), CheckResult::kSat);
+    EXPECT_EQ(model.get(x->var_id), 5u);
+    EXPECT_EQ(model.get(d->var_id), 3u);
+  }
+}
 
 TEST(Resolver, IncrementalChecksShareKeysWithStatelessChecks) {
   // A flip answered through the scoped API (prefix asserted, target as an
