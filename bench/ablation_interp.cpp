@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = bench::parse_jobs_arg(argv[++i]);
+      if (!bench::parse_jobs_arg(argv[++i], &jobs)) return 2;
     }
   }
   const uint64_t max_paths = quick ? 400 : UINT64_MAX;

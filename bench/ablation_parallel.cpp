@@ -29,15 +29,19 @@ using namespace binsym;
 
 namespace {
 
-std::vector<unsigned> parse_jobs_list(const char* arg) {
-  std::vector<unsigned> jobs;
-  for (const char* p = arg; *p;) {
-    jobs.push_back(bench::parse_jobs_arg(p));
-    p = std::strchr(p, ',');
-    if (!p) break;
-    ++p;
+/// Parse a --jobs comma list ("1,2,4"); false on an entry parse_jobs_arg
+/// rejects (it prints the diagnostic).
+bool parse_jobs_list(const std::string& arg, std::vector<unsigned>* jobs) {
+  jobs->clear();
+  for (size_t pos = 0;;) {
+    const size_t comma = std::min(arg.find(',', pos), arg.size());
+    unsigned n = 0;
+    if (!bench::parse_jobs_arg(arg.substr(pos, comma - pos).c_str(), &n))
+      return false;
+    jobs->push_back(n);
+    if (comma == arg.size()) return true;
+    pos = comma + 1;
   }
-  return jobs;
 }
 
 }  // namespace
@@ -55,7 +59,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
       if (!bench::parse_search_arg(argv[++i], &search)) return 2;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs_sweep = parse_jobs_list(argv[++i]);
+      if (!parse_jobs_list(argv[++i], &jobs_sweep)) return 2;
     }
   }
 

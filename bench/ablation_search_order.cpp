@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   unsigned jobs = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = bench::parse_jobs_arg(argv[++i]);
+    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc &&
+             !bench::parse_jobs_arg(argv[++i], &jobs))
+      return 2;
   }
   uint64_t max_paths = quick ? 150 : 2000;
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,9 +36,9 @@
 namespace binsym::bench {
 
 /// Solver-robustness knobs (docs/ROBUSTNESS.md) applied to every worker's
-/// backend stack. With a per-query deadline set, each worker's solver is
-/// wrapped in a FailoverSolver: a kUnknown (timeout) or thrown backend
-/// failure on the primary retries once, statelessly, on the other backend.
+/// backend. With a per-query deadline set, each worker gets a failover
+/// factory for the other backend: its resolver retries a kUnknown (timeout)
+/// or thrown failure of the primary once, statelessly, on that backend.
 struct RobustnessOptions {
   std::string solver = "bitblast";  // primary backend: "bitblast" | "z3" |
                                     // "pipe:CMD" (docs/SOLVERS.md)
@@ -46,7 +47,7 @@ struct RobustnessOptions {
   // -- Solver portfolio (smt/portfolio.hpp). When on, each worker's backend
   // is a portfolio racing `portfolio_backends` per query; `solver` and
   // `failover` are ignored (a portfolio is already as strong as its
-  // strongest member, so layering a failover on top would be redundant).
+  // strongest member, so a failover behind it would be redundant).
   bool portfolio = false;                          // CLI: --portfolio
   std::string portfolio_backends = "z3,bitblast";  // comma list of backend
                                                    // names as in `solver`
@@ -99,11 +100,10 @@ inline bool known_backend(const std::string& name) {
   return name == "z3" || name == "bitblast" || name.rfind("pipe:", 0) == 0;
 }
 
-/// Build the worker solver stack described by `robust` on `ctx`: the named
-/// primary, with the per-query deadline applied, wrapped in a FailoverSolver
-/// (lazily constructing the *other* backend) when a deadline is set and
-/// failover is on. Without a deadline the stack is just the primary, so the
-/// default configuration is byte-identical to the pre-robustness one.
+/// Build the worker's primary backend described by `robust` on `ctx` — the
+/// named backend or the portfolio — with the per-query deadline applied.
+/// Failover is not part of it: build_worker gives the worker a factory for
+/// the secondary instead.
 inline std::unique_ptr<smt::Solver> make_robust_solver(
     const RobustnessOptions& robust, smt::Context& ctx) {
   if (robust.portfolio) {
@@ -121,15 +121,8 @@ inline std::unique_ptr<smt::Solver> make_robust_solver(
     return solver;
   }
   std::unique_ptr<smt::Solver> solver = make_named_solver(robust.solver, ctx);
-  if (!solver) return nullptr;
-  if (robust.query_timeout_ms == 0) return solver;
-  if (robust.failover) {
-    const std::string secondary = robust.solver == "z3" ? "bitblast" : "z3";
-    solver = std::make_unique<smt::FailoverSolver>(
-        std::move(solver),
-        [secondary, &ctx] { return make_named_solver(secondary, ctx); });
-  }
-  solver->set_deadline_ms(robust.query_timeout_ms);
+  if (solver && robust.query_timeout_ms > 0)
+    solver->set_deadline_ms(robust.query_timeout_ms);
   return solver;
 }
 
@@ -171,7 +164,18 @@ inline core::WorkerResources build_worker(
     }
     r.keepalive = std::move(lifter);
   }
-  if (with_solver) r.solver = make_robust_solver(s.robust, *r.ctx);
+  if (with_solver) {
+    r.solver = make_robust_solver(s.robust, *r.ctx);
+    // With a per-query deadline the worker's resolver retries what the
+    // primary gives up on, on the *other* backend, built lazily.
+    const RobustnessOptions& robust = s.robust;
+    if (robust.query_timeout_ms > 0 && robust.failover && !robust.portfolio) {
+      const std::string secondary = robust.solver == "z3" ? "bitblast" : "z3";
+      r.failover = [secondary, ctx = r.ctx.get()] {
+        return make_named_solver(secondary, *ctx);
+      };
+    }
+  }
   return r;
 }
 
@@ -313,9 +317,22 @@ inline bool parse_search_arg(const char* arg, core::SearchKind* out) {
   return true;
 }
 
-/// Parse a --jobs value; zero (or garbage) clamps to one worker.
-inline unsigned parse_jobs_arg(const char* arg) {
-  return std::max(1u, static_cast<unsigned>(std::strtoul(arg, nullptr, 0)));
+/// Largest --jobs value: the engine builds every worker up front.
+inline constexpr unsigned kMaxJobs = 1024;
+
+/// Parse a --jobs value, a decimal worker count in 1..kMaxJobs; prints a
+/// diagnostic and returns false on anything else.
+inline bool parse_jobs_arg(const char* arg, unsigned* out) {
+  const char* end = arg + std::strlen(arg);
+  unsigned jobs = 0;
+  const auto [ptr, ec] = std::from_chars(arg, end, jobs);
+  if (ec != std::errc() || ptr != end || jobs < 1 || jobs > kMaxJobs) {
+    std::fprintf(stderr, "invalid --jobs '%s' (want a worker count in 1..%u)\n",
+                 arg, kMaxJobs);
+    return false;
+  }
+  *out = jobs;
+  return true;
 }
 
 /// Solver-pipeline optimization toggles, shared by every harness:

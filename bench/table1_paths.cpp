@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      base_options.jobs = bench::parse_jobs_arg(argv[++i]);
+      if (!bench::parse_jobs_arg(argv[++i], &base_options.jobs)) return 2;
     } else if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
       if (!bench::parse_search_arg(argv[++i], &base_options.search)) return 2;
     } else if (bench::parse_solver_opt_flag(argv[i], &base_options)) {

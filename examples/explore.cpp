@@ -42,7 +42,7 @@ void print_usage(std::FILE* out, const char* prog) {
       "usage: %s <workload|file.elf> [engine] [options]\n"
       "  engines: binsym (default), vp, binsec, angr, angr-buggy\n"
       "  --max-paths N            stop after N explored paths\n"
-      "  --jobs N                 worker count (1 = sequential)\n"
+      "  --jobs N                 worker count, 1..1024 (1 = sequential)\n"
       "  --search dfs|bfs|random|coverage\n"
       "                           path-selection strategy\n"
       "  --no-incremental         disable incremental prefix solving\n"
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--max-paths") == 0 && i + 1 < argc) {
       options.max_paths = std::strtoull(argv[++i], nullptr, 0);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.jobs = bench::parse_jobs_arg(argv[++i]);
+      if (!bench::parse_jobs_arg(argv[++i], &options.jobs)) return 2;
     } else if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
       if (!bench::parse_search_arg(argv[++i], &options.search)) return 2;
     } else if (bench::parse_solver_opt_flag(argv[i], &options)) {

@@ -157,9 +157,7 @@ struct DseEngine::Shared {
 
 DseEngine::DseEngine(Executor& executor, std::unique_ptr<smt::Solver> solver,
                      EngineOptions options)
-    : executor_(&executor), options_(options) {
-  solver_ = wrap_solver(std::move(solver));
-}
+    : executor_(&executor), solver_(std::move(solver)), options_(options) {}
 
 DseEngine::DseEngine(WorkerFactory factory, EngineOptions options)
     : factory_(std::move(factory)), options_(options) {
@@ -177,22 +175,8 @@ smt::Solver& DseEngine::solver() {
   return *solver_;
 }
 
-std::unique_ptr<smt::Solver> DseEngine::wrap_solver(
-    std::unique_ptr<smt::Solver> raw) {
-  if (options_.validate_models)
-    raw = std::make_unique<smt::ValidatingSolver>(std::move(raw));
-  // Fault injection wraps innermost-facing: injected kUnknown/throws reach
-  // the worker loop exactly as a real backend failure would (through any
-  // validating wrapper above).
-  if (options_.fault_plan)
-    raw = std::make_unique<smt::FaultInjectingSolver>(std::move(raw),
-                                                      options_.fault_plan);
-  // Each worker's smt::Resolver puts the slicing, cache, store and presolve
-  // tiers in front of this stack and owns its scoped incremental API.
-  return raw;
-}
-
 void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
+                            const smt::SolverFactory& failover,
                             Shared& shared, unsigned worker_index) {
   smt::Context& ctx = executor.context();
   EngineStats local;
@@ -204,14 +188,19 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   const uint64_t intern_hits_before = ctx.intern_hits();
 
   // Every satisfiability question this worker asks goes through its
-  // resolver (smt/resolver.hpp); only the persistent store tier is shared.
+  // resolver (smt/resolver.hpp), which also composes fault injection,
+  // failover and validation around the backend; only the persistent store
+  // tier is shared.
   const EngineOptions& opts = shared.options;
   smt::Resolver resolver(ctx, solver,
                          {.slice = opts.slice_queries,
                           .cache = opts.cache_queries,
                           .presolve = opts.presolve_models,
                           .incremental = opts.incremental_solving,
-                          .store = opts.solver_store.get()});
+                          .validate = opts.validate_models,
+                          .store = opts.solver_store.get(),
+                          .faults = opts.fault_plan.get(),
+                          .failover = failover});
   std::vector<smt::ExprRef> candidate_prefix;
 
   // Snapshot/fork state (also strictly per-worker: snapshots hold
@@ -513,9 +502,10 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
   // construction state, frontier corruption, bad_alloc outside a job).
   // The run degrades to a partial report instead of rethrowing.
   auto guarded_loop = [this, &shared](Executor& executor, smt::Solver& solver,
+                                      const smt::SolverFactory& failover,
                                       unsigned worker_index) {
     try {
-      worker_loop(executor, solver, shared, worker_index);
+      worker_loop(executor, solver, failover, shared, worker_index);
     } catch (const std::exception& e) {
       shared.mark_incomplete(std::string("worker died: ") + e.what());
       {
@@ -534,48 +524,43 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
   };
 
   std::string solver_name;
+  bool failover = false;
   if (jobs == 1) {
     // Sequential fast path: the same loop, inline on the calling thread —
     // single-thread behavior is identical to the classic offline engine.
     if (factory_) {
       WorkerResources res = factory_(0);
-      std::unique_ptr<smt::Solver> solver = wrap_solver(std::move(res.solver));
-      solver_name = solver->name();
-      guarded_loop(*res.executor, *solver, 0);
+      solver_name = res.solver->name();
+      failover = static_cast<bool>(res.failover);
+      guarded_loop(*res.executor, *res.solver, res.failover, 0);
     } else {
       solver_name = solver_->name();
-      guarded_loop(*executor_, *solver_, 0);
+      guarded_loop(*executor_, *solver_, nullptr, 0);
     }
   } else {
     // Build every worker's resources up front (the factory need not be
     // thread-safe), then let the pool drain the frontier.
-    struct Worker {
-      WorkerResources res;
-      std::unique_ptr<smt::Solver> solver;
-    };
-    std::vector<Worker> workers;
+    std::vector<WorkerResources> workers;
     workers.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) {
-      Worker w;
-      w.res = factory_(i);
-      w.solver = wrap_solver(std::move(w.res.solver));
-      workers.push_back(std::move(w));
-    }
+    for (unsigned i = 0; i < jobs; ++i) workers.push_back(factory_(i));
     solver_name = workers.front().solver->name();
+    failover = static_cast<bool>(workers.front().failover);
 
     std::vector<std::thread> pool;
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; ++i) {
-      Worker& w = workers[i];
+      WorkerResources& w = workers[i];
       pool.emplace_back([&guarded_loop, &w, i] {
-        guarded_loop(*w.res.executor, *w.solver, i);
+        guarded_loop(*w.executor, *w.solver, w.failover, i);
       });
     }
     for (std::thread& t : pool) t.join();
   }
 
-  // The engine-managed query cache is part of the effective solver stack;
-  // reports keep the wrapper-style suffix.
+  // The tiers each worker's resolver composes around its backend are part
+  // of the effective solver stack; reports name them as suffixes.
+  if (failover) solver_name += "+failover";
+  if (options_.validate_models) solver_name += "+validate";
   if (options_.cache_queries) solver_name += "+cache";
   if (options_.solver_store) solver_name += "+store";
 

@@ -34,6 +34,7 @@
 #include "core/search.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
+#include "support/fault.hpp"
 
 namespace binsym::core {
 
@@ -60,7 +61,8 @@ struct EngineOptions {
   /// the single-executor constructor inherits its caller's Context as-is.
   /// CLI: --no-intern.
   bool intern_exprs = true;
-  /// Validate every sat model by concrete evaluation (testing aid).
+  /// Validate every sat model by concrete evaluation (testing aid); a
+  /// model that fails throws std::logic_error from the resolver.
   bool validate_models = false;
   // -- Solver-pipeline optimizations: the tiers of each worker's
   // smt::Resolver (smt/resolver.hpp). Independently toggleable; the path
@@ -149,7 +151,9 @@ struct EngineOptions {
   unsigned max_job_retries = 1;
   /// Deterministic fault injection (support/fault.hpp): fail the Nth
   /// solver check / snapshot capture / instrumented allocation. Null
-  /// disables every site. CLI: explore --fault-inject SPEC.
+  /// disables every site. Solver faults stand in for the primary backend,
+  /// so a worker's failover rescues them like real ones.
+  /// CLI: explore --fault-inject SPEC.
   std::shared_ptr<support::FaultPlan> fault_plan;
 };
 
@@ -228,7 +232,9 @@ struct EngineStats {
   /// *partial* exploration; `incomplete_reason` names the first cause.
   bool incomplete = false;
   std::string incomplete_reason;
-  std::string solver_name;       // backend name incl. wrappers, for reports
+  std::string solver_name;       // backend name plus the tiers composed
+                                 // around it ("+failover", "+validate",
+                                 // "+cache", "+store"), for reports
   smt::SolverStats solver;       // merged across workers
 
   /// Fold one worker's partial stats in (solver stats merge too; wall-clock
@@ -253,7 +259,10 @@ struct WorkerResources {
   std::shared_ptr<void> keepalive;
   std::unique_ptr<smt::Context> ctx;
   std::unique_ptr<Executor> executor;
-  std::unique_ptr<smt::Solver> solver;  // raw backend over *ctx
+  std::unique_ptr<smt::Solver> solver;  // primary backend over *ctx
+  /// Builds a secondary backend over *ctx that decides the queries the
+  /// primary gave up on (smt::Resolver failover); null disables failover.
+  smt::SolverFactory failover;
 };
 
 /// Builds the resources for worker `index`; called once per worker, from
@@ -271,9 +280,10 @@ class DseEngine {
   using PathCallback = std::function<void(const PathResult&)>;
 
   /// Single-executor form: exploration borrows `executor` and runs
-  /// sequentially on the calling thread. `solver` is the raw backend (e.g.
-  /// from smt::make_z3_solver); ownership is taken so the engine can layer
-  /// validation and fault-injection wrappers. Requires options.jobs == 1.
+  /// sequentially on the calling thread over `solver` (e.g. from
+  /// smt::make_z3_solver), which the engine owns. Validation and fault
+  /// injection are composed around it by the worker's smt::Resolver; this
+  /// form has no failover. Requires options.jobs == 1.
   DseEngine(Executor& executor, std::unique_ptr<smt::Solver> solver,
             EngineOptions options = {});
 
@@ -288,8 +298,8 @@ class DseEngine {
   /// all-zero input seed.
   EngineStats explore(const PathCallback& on_path = nullptr);
 
-  /// The wrapped solver of the single-executor form. Only valid for that
-  /// constructor (workers own their solvers privately).
+  /// The backend of the single-executor form, as passed in. Only valid for
+  /// that constructor (workers own their solvers privately).
   smt::Solver& solver();
 
   /// Deduplicated findings collected by the last explore() (empty when no
@@ -301,12 +311,12 @@ class DseEngine {
  private:
   struct Shared;  // exploration-wide mutable state (engine.cpp)
 
-  std::unique_ptr<smt::Solver> wrap_solver(std::unique_ptr<smt::Solver> raw);
-  void worker_loop(Executor& executor, smt::Solver& solver, Shared& shared,
+  void worker_loop(Executor& executor, smt::Solver& solver,
+                   const smt::SolverFactory& failover, Shared& shared,
                    unsigned worker_index);
 
   Executor* executor_ = nullptr;          // single-executor form
-  std::unique_ptr<smt::Solver> solver_;   // single-executor form (wrapped)
+  std::unique_ptr<smt::Solver> solver_;   // single-executor form
   WorkerFactory factory_;                 // worker-pool form
   EngineOptions options_;
   FindingLog findings_;                   // shared, internally locked

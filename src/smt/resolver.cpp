@@ -2,8 +2,28 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 namespace binsym::smt {
+
+namespace {
+
+bool satisfies(std::span<const ExprRef> conjunction, const Assignment& model) {
+  return std::all_of(conjunction.begin(), conjunction.end(),
+                     [&model](ExprRef c) { return evaluate(c, model) == 1; });
+}
+
+/// Throws std::logic_error unless `model` satisfies `asked` and, when
+/// non-null, `target`: the conjunction `backend` was asked.
+void validate(const Solver& backend, std::span<const ExprRef> asked,
+              ExprRef target, const Assignment& model) {
+  if (satisfies(asked, model) && (!target || evaluate(target, model) == 1))
+    return;
+  throw std::logic_error("solver '" + backend.name() +
+                         "' returned a model that does not satisfy the query");
+}
+
+}  // namespace
 
 Resolver::Resolver(Context& ctx, Solver& solver, Options options)
     : ctx_(ctx), solver_(solver), options_(options) {
@@ -117,21 +137,21 @@ CheckResult Resolver::check_backend(const QueryCache::Key& key, ExprRef target,
                                     bool flip, Assignment* found) {
   ++ledger_.backend_checks;
   const auto start = std::chrono::steady_clock::now();
-  CheckResult result;
-  if (flip && options_.incremental) {
-    // Prefix constraints appended since the last backend flip are asserted
-    // now, so flips the tiers above answer cost no scope traffic at all.
-    if (!scope_open_) {
-      solver_.push();
-      scope_open_ = true;
-      asserted_ = 0;
-    }
-    for (; asserted_ < prefix_.size(); ++asserted_)
-      solver_.assert_(prefix_[asserted_]);
-    result = solver_.check_assuming(std::span(&target, 1), found);
-  } else {
-    result = solver_.check(query_, found);
+  const bool scoped = flip && options_.incremental;
+  CheckResult result = CheckResult::kUnknown;
+  try {
+    result = check_primary(target, scoped, found);
+  } catch (const std::exception&) {
+    if (!options_.failover) throw;
   }
+  if (result == CheckResult::kSat && options_.validate)
+    validate(solver_, scoped ? prefix_ : query_, scoped ? target : nullptr,
+             *found);
+  // A cancelled check's kUnknown is the caller's request, not a backend
+  // failure: retrying it on the secondary would defeat the cancellation.
+  const bool rescued = result == CheckResult::kUnknown && options_.failover &&
+                       !solver_.cancel_requested();
+  if (rescued) result = rescue(found);
   if (result == CheckResult::kUnknown) return result;
   remember(key, result, *found);
   if (options_.store) {
@@ -139,7 +159,8 @@ CheckResult Resolver::check_backend(const QueryCache::Key& key, ExprRef target,
     // var_ids are meaningless outside this context.
     SolverStore::Entry persisted;
     persisted.verdict = result;
-    persisted.backend = solver_.last_backend();
+    persisted.backend =
+        rescued ? secondary_->last_backend() : solver_.last_backend();
     persisted.var_count = static_cast<uint32_t>(query_vars().size());
     persisted.solve_seconds = std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - start)
@@ -151,6 +172,49 @@ CheckResult Resolver::check_backend(const QueryCache::Key& key, ExprRef target,
     }
     options_.store->insert(key, std::move(persisted));
   }
+  return result;
+}
+
+CheckResult Resolver::check_primary(ExprRef target, bool scoped,
+                                    Assignment* found) {
+  if (options_.faults) {
+    if (options_.faults->fire(support::FaultSite::kSolverThrow))
+      throw support::FaultInjected("injected solver backend failure");
+    if (options_.faults->fire(support::FaultSite::kSolverUnknown))
+      return CheckResult::kUnknown;
+  }
+  if (!scoped) return solver_.check(query_, found);
+  // Prefix constraints appended since the last backend flip are asserted
+  // now, so flips the tiers above answer cost no scope traffic at all.
+  if (!scope_open_) {
+    solver_.push();
+    scope_open_ = true;
+    asserted_ = 0;
+  }
+  for (; asserted_ < prefix_.size(); ++asserted_)
+    solver_.assert_(prefix_[asserted_]);
+  return solver_.check_assuming(std::span(&target, 1), found);
+}
+
+CheckResult Resolver::rescue(Assignment* found) {
+  if (!secondary_) secondary_ = options_.failover();
+  if (!secondary_) return CheckResult::kUnknown;
+  // The full per-query deadline, not what the primary left of it: after a
+  // primary timeout nothing would remain.
+  secondary_->set_deadline_ms(solver_.deadline_ms());
+  // Sliced-out prefix constraints are independent of the target and the
+  // seed satisfies them, so query_ has the verdict of the full conjunction.
+  found->values.clear();
+  CheckResult result;
+  try {
+    result = secondary_->check(query_, found);
+  } catch (const std::exception&) {
+    return CheckResult::kUnknown;
+  }
+  if (result == CheckResult::kUnknown) return result;
+  ++ledger_.rescues;
+  if (result == CheckResult::kSat && options_.validate)
+    validate(*secondary_, query_, nullptr, *found);
   return result;
 }
 
@@ -173,11 +237,9 @@ bool Resolver::lookup_store(const QueryCache::Key& key, CheckResult* verdict,
     // only come from a colliding key, which the evaluation rejects.
     for (const auto& [name, value] : stored.model)
       if (ExprRef var = ctx_.lookup_var(name)) found->set(var->var_id, value);
-    for (ExprRef assertion : query_) {
-      if (evaluate(assertion, *found) != 1) {
-        found->values.clear();
-        return false;
-      }
+    if (!satisfies(query_, *found)) {
+      found->values.clear();
+      return false;
     }
   }
   *verdict = stored.verdict;
@@ -210,6 +272,8 @@ SolverStats Resolver::stats() const {
   s.unknown = ledger_.unknown;
   s.cache_hits = ledger_.cache_hits;
   s.cache_misses = ledger_.cache_misses;
+  s.failover_rescues = ledger_.rescues;
+  if (secondary_) s.solve_seconds += secondary_->stats().solve_seconds;
   return s;
 }
 

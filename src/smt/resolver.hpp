@@ -18,6 +18,18 @@
 //              reset_prefix(), before a candidate's stateless check, and on
 //              destruction.
 //
+// The backend tier is composed here too, in this order:
+//
+//   faults   — the fault plan's solver sites stand in for the primary:
+//              `solver` answers kUnknown, `solver-throw` throws;
+//   primary  — the Solver above;
+//   failover — when the primary answered kUnknown or threw (and no cancel
+//              was requested), a lazily built secondary decides the
+//              effective query in one stateless check, under the primary's
+//              full per-query deadline;
+//   validate — every sat model is evaluated on the conjunction its backend
+//              was asked; a mismatch throws std::logic_error.
+//
 // Each question is answered by exactly one tier and counted there in the
 // Ledger. A kUnknown verdict (only the backend gives one) is never cached,
 // stored or pooled.
@@ -38,18 +50,24 @@
 #include "smt/slice.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
+#include "support/fault.hpp"
 
 namespace binsym::smt {
 
 class Resolver {
  public:
-  /// Which tiers run. None of them may change a verdict, only its cost.
+  /// Which tiers run. None of them may change a decided verdict, only its
+  /// cost: injected faults may only turn one into kUnknown, and failover
+  /// may only decide what the primary left unknown.
   struct Options {
     bool slice = true;        // constraint-independence slicing
     bool cache = true;        // per-resolver in-memory QueryCache
     bool presolve = true;     // recent-model pool
     bool incremental = true;  // flips reach the backend through a scope
-    SolverStore* store = nullptr;  // persistent tier; null disables
+    bool validate = false;    // evaluate every backend sat model
+    SolverStore* store = nullptr;         // persistent tier; null disables
+    support::FaultPlan* faults = nullptr;  // injected primary failures
+    SolverFactory failover;  // secondary backend, built on the first rescue
   };
 
   /// Recent sat models the presolve tier keeps.
@@ -66,6 +84,7 @@ class Resolver {
     uint64_t presolve_hits = 0;
     uint64_t presolve_misses = 0;
     uint64_t backend_checks = 0;
+    uint64_t rescues = 0;  // backend checks the failover secondary decided
     uint64_t sat = 0;
     uint64_t unsat = 0;
     uint64_t unknown = 0;
@@ -107,7 +126,8 @@ class Resolver {
 
   const Ledger& ledger() const { return ledger_; }
   /// The backend's counters, with the query and verdict counts replaced by
-  /// the ledger's (every question, whichever tier answered it).
+  /// the ledger's (every question, whichever tier answered it), plus the
+  /// failover rescues and the secondary's solve time.
   SolverStats stats() const;
 
  private:
@@ -127,6 +147,11 @@ class Resolver {
                      Assignment* found);
   CheckResult check_backend(const QueryCache::Key& key, ExprRef target,
                             bool flip, Assignment* found);
+  /// The fault plan's solver sites, then the primary: in the flip scope
+  /// when `scoped`, else one stateless check of query_.
+  CheckResult check_primary(ExprRef target, bool scoped, Assignment* found);
+  /// Decide query_ on the failover secondary; kUnknown if it gives up too.
+  CheckResult rescue(Assignment* found);
   bool lookup_store(const QueryCache::Key& key, CheckResult* verdict,
                     Assignment* found);
   const Assignment* find_pooled();
@@ -139,6 +164,7 @@ class Resolver {
   Context& ctx_;
   Solver& solver_;
   Options options_;
+  std::unique_ptr<Solver> secondary_;  // failover backend, built lazily
   QuerySlicer slicer_;
   std::optional<QueryCache> cache_;
   std::deque<PooledModel> pool_;  // newest last

@@ -3,9 +3,11 @@
 // The engine asks one question, many times: "is this conjunction of width-1
 // expressions satisfiable, and if so under which variable assignment?". The
 // abstraction allows swapping Z3 (the paper's solver) for the built-in
-// bit-blasting backend and stacking the wrappers below (validation,
-// failover, fault injection); the engine's Resolver (resolver.hpp) puts its
-// slicing, cache, store and presolve tiers in front of whichever stack.
+// bit-blasting backend, an external SMT-LIB process (pipe.hpp) or a racing
+// portfolio (portfolio.hpp). The engine's Resolver (resolver.hpp) puts its
+// slicing, cache, store and presolve tiers in front of the chosen backend,
+// and composes fault injection, failover to a secondary backend and model
+// validation around it.
 #pragma once
 
 #include <atomic>
@@ -20,7 +22,6 @@
 #include "smt/context.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
-#include "support/fault.hpp"
 
 namespace binsym::smt {
 
@@ -44,9 +45,10 @@ struct SolverStats {
   uint64_t incremental_checks = 0;  // check_assuming() calls reaching a backend
   uint64_t reused_assertions = 0;   // scoped assertions live per such check,
                                     // summed (the assumption-reuse depth)
-  uint64_t failover_rescues = 0;    // FailoverSolver: queries the primary
-                                    // backend gave up on (unknown/timeout/
-                                    // exception) that the secondary decided
+  uint64_t failover_rescues = 0;    // Resolver failover: queries the
+                                    // primary backend gave up on (unknown/
+                                    // timeout/exception) that the secondary
+                                    // decided
   // -- PortfolioSolver (portfolio.hpp). Zero for every other stack.
   uint64_t portfolio_races = 0;      // checks decided by racing the members
   uint64_t portfolio_routed = 0;     // checks sent to one member by the router
@@ -76,7 +78,7 @@ struct SolverStats {
   }
 };
 
-/// Thread-safety: a Solver (any backend, any wrapper) is single-threaded —
+/// Thread-safety: a Solver (any backend) is single-threaded —
 /// it is built over one smt::Context, which is itself confined to one
 /// engine worker. Parallel exploration gives every worker its own solver;
 /// nothing here locks.
@@ -120,7 +122,7 @@ class Solver {
   /// exceeds the deadline returns kUnknown — never a wrong verdict — so
   /// the engine treats it as an explicitly skipped query. Backends honor
   /// it natively (Z3: solver `timeout` param; bitblast: a periodic
-  /// interrupt probe in the CDCL search loop); wrappers forward it.
+  /// interrupt probe in the CDCL search loop); the portfolio forwards it.
   virtual void set_deadline_ms(uint32_t ms) { deadline_ms_ = ms; }
   uint32_t deadline_ms() const { return deadline_ms_; }
 
@@ -135,8 +137,8 @@ class Solver {
   // sticky until reset_cancel() so a cancel landing before the loser's check
   // even starts still takes effect (no lost-cancel race).
 
-  /// Request cancellation (thread-safe; wrappers forward to their inner
-  /// backend).
+  /// Request cancellation (thread-safe; the portfolio forwards it to its
+  /// members).
   virtual void cancel() { cancel_flag_.store(true, std::memory_order_relaxed); }
   /// Re-arm for the next check (called by the owner thread between checks).
   virtual void reset_cancel() {
@@ -150,13 +152,13 @@ class Solver {
   std::span<const ExprRef> scoped_assertions() const { return scoped_; }
   size_t num_scopes() const { return scope_marks_.size(); }
 
-  /// Human-readable backend name for reports (wrappers append suffixes,
-  /// e.g. "z3+validate").
+  /// Human-readable backend name for reports (the engine appends the
+  /// tiers it composes around it, e.g. "z3+validate+cache").
   virtual std::string name() const = 0;
 
   /// Backend that decided the most recent definitive check — the race winner
-  /// for a portfolio, name() for a plain backend; wrappers forward. The
-  /// persistent store records it per query.
+  /// for a portfolio, name() for a plain backend. The persistent store
+  /// records it per query.
   virtual std::string last_backend() const { return name(); }
 
   /// Counters accumulated so far (see SolverStats).
@@ -180,146 +182,8 @@ std::unique_ptr<Solver> make_z3_solver(Context& ctx);
 /// (see sat/sat_solver_backend.cpp).
 std::unique_ptr<Solver> make_bitblast_solver(Context& ctx);
 
-/// Validates every kSat model by concrete evaluation before returning it —
-/// wraps another solver; used in tests and available as an engine option.
-class ValidatingSolver final : public Solver {
- public:
-  explicit ValidatingSolver(std::unique_ptr<Solver> inner)
-      : inner_(std::move(inner)) {}
-
-  CheckResult check(std::span<const ExprRef> assertions,
-                    Assignment* model) override;
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
-  CheckResult check_assuming(std::span<const ExprRef> assumptions,
-                             Assignment* model) override;
-  std::string name() const override { return inner_->name() + "+validate"; }
-  std::string last_backend() const override { return inner_->last_backend(); }
-  void set_deadline_ms(uint32_t ms) override {
-    Solver::set_deadline_ms(ms);
-    inner_->set_deadline_ms(ms);
-  }
-  void cancel() override {
-    Solver::cancel();
-    inner_->cancel();
-  }
-  void reset_cancel() override {
-    Solver::reset_cancel();
-    inner_->reset_cancel();
-  }
-
- private:
-  CheckResult validate(std::span<const ExprRef> assumptions,
-                       CheckResult result, const Assignment& model);
-
-  std::unique_ptr<Solver> inner_;
-};
-
-/// Backend failover: every query goes to the primary backend first; when
-/// the primary gives up — kUnknown (deadline, theory limits) or a thrown
-/// backend error — the query is retried once on a lazily built secondary
-/// backend before kUnknown is surfaced to the caller. The secondary is
-/// stateless from the wrapper's point of view: it answers each rescue as
-/// one standalone check over the client-side scoped assertions plus the
-/// assumptions (the base class keeps that set for every backend), so it
-/// needs no scope replay and no native incrementality. A decided rescue
-/// counts into SolverStats::failover_rescues.
-class FailoverSolver final : public Solver {
- public:
-  using SecondaryFactory = std::function<std::unique_ptr<Solver>()>;
-
-  /// `secondary` is invoked at most once, on the first rescue attempt; the
-  /// built solver inherits the wrapper's current deadline.
-  FailoverSolver(std::unique_ptr<Solver> primary, SecondaryFactory secondary)
-      : primary_(std::move(primary)), secondary_factory_(std::move(secondary)) {}
-
-  CheckResult check(std::span<const ExprRef> assertions,
-                    Assignment* model) override;
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
-  CheckResult check_assuming(std::span<const ExprRef> assumptions,
-                             Assignment* model) override;
-  std::string name() const override { return primary_->name() + "+failover"; }
-  /// The backend that actually decided the last check: the secondary when
-  /// that check was rescued, the primary otherwise.
-  std::string last_backend() const override {
-    return last_rescued_ && secondary_ ? secondary_->last_backend()
-                                       : primary_->last_backend();
-  }
-  void set_deadline_ms(uint32_t ms) override;
-  /// A cancelled primary check returns kUnknown like a deadline expiry, but
-  /// must not trigger a rescue: rescue() observes the sticky flag and
-  /// declines, so cancellation wins over failover.
-  void cancel() override {
-    Solver::cancel();
-    primary_->cancel();
-    if (secondary_) secondary_->cancel();
-  }
-  void reset_cancel() override {
-    Solver::reset_cancel();
-    primary_->reset_cancel();
-    if (secondary_) secondary_->reset_cancel();
-  }
-
- private:
-  /// Retry `scoped_ ∧ assumptions` on the secondary backend; kUnknown when
-  /// the secondary also fails (then nothing rescued the query).
-  CheckResult rescue(std::span<const ExprRef> assumptions, Assignment* model);
-  void refresh_stats();
-
-  std::unique_ptr<Solver> primary_;
-  SecondaryFactory secondary_factory_;
-  std::unique_ptr<Solver> secondary_;  // built on first rescue
-  uint64_t rescues_ = 0;
-  uint64_t logical_queries_ = 0;  // checks as the caller sees them
-  bool last_rescued_ = false;     // last decided check came from secondary_
-};
-
-/// Deterministic failure injection at the solver boundary (see
-/// support/fault.hpp): before each check the plan's solver sites are
-/// consulted — kSolverUnknown degrades the answer to kUnknown without
-/// touching the backend, kSolverThrow raises support::FaultInjected as a
-/// stand-in for a crashing backend. Both model real failure modes the
-/// engine must absorb; the robustness tests drive every one of them.
-class FaultInjectingSolver final : public Solver {
- public:
-  FaultInjectingSolver(std::unique_ptr<Solver> inner,
-                       std::shared_ptr<support::FaultPlan> plan)
-      : inner_(std::move(inner)), plan_(std::move(plan)) {}
-
-  CheckResult check(std::span<const ExprRef> assertions,
-                    Assignment* model) override;
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
-  CheckResult check_assuming(std::span<const ExprRef> assumptions,
-                             Assignment* model) override;
-  std::string name() const override { return inner_->name(); }
-  std::string last_backend() const override { return inner_->last_backend(); }
-  void set_deadline_ms(uint32_t ms) override {
-    Solver::set_deadline_ms(ms);
-    inner_->set_deadline_ms(ms);
-  }
-  void cancel() override {
-    Solver::cancel();
-    inner_->cancel();
-  }
-  void reset_cancel() override {
-    Solver::reset_cancel();
-    inner_->reset_cancel();
-  }
-
- private:
-  /// Fires the solver fault sites; returns true when this check must
-  /// degrade to kUnknown (throws on an injected backend crash).
-  bool inject();
-  void refresh_stats();
-
-  std::unique_ptr<Solver> inner_;
-  std::shared_ptr<support::FaultPlan> plan_;
-  uint64_t injected_unknown_ = 0;  // checks degraded without reaching inner_
-};
+/// Builds a backend on demand (the Resolver's lazily built failover
+/// secondary).
+using SolverFactory = std::function<std::unique_ptr<Solver>()>;
 
 }  // namespace binsym::smt

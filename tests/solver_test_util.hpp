@@ -5,9 +5,11 @@
 // crashing backend, optionally with artificial latency — during which it
 // polls the cooperative cancel flag like a real backend, so races and
 // cancellation can be tested deterministically without timing luck.
-// Used by the failover tests (test_solver.cpp) and the portfolio race
-// tests (test_portfolio.cpp). CountingSolver wraps a real backend and
-// counts the calls that reach it (test_solver.cpp, test_resolver.cpp).
+// It is the primary (and failing secondary) behind a Resolver in the
+// failover and validation tests (test_solver.cpp) and a member in the
+// portfolio race tests (test_portfolio.cpp). CountingSolver wraps a real
+// backend and counts the calls that reach it (test_solver.cpp,
+// test_resolver.cpp).
 #pragma once
 
 #include <atomic>
@@ -79,8 +81,9 @@ class StubSolver final : public Solver {
 };
 
 /// Forwards the checks and the scope calls (push/pop/assert_) to `inner`
-/// and counts them: the backend traffic a Resolver generates. The counters are shared and atomic so one set can total the
-/// solvers of every worker of a parallel exploration.
+/// and counts them: the backend traffic a Resolver generates. The counters
+/// are shared and atomic so one set can total the solvers of every worker
+/// of a parallel exploration.
 class CountingSolver final : public Solver {
  public:
   struct Counts {

@@ -250,8 +250,12 @@ TEST_F(EngineTest, ValidatedModelsOption) {
 q:
 )" + kEpilogue;
   core::EngineOptions options;
-  options.validate_models = true;  // throws on a bad model
-  EXPECT_EQ(explore(load(source), nullptr, options).paths, 2u);
+  options.validate_models = true;  // a bad model would be a worker error
+  const core::EngineStats stats = explore(load(source), nullptr, options);
+  EXPECT_EQ(stats.paths, 2u);
+  EXPECT_EQ(stats.worker_errors, 0u);
+  EXPECT_NE(stats.solver_name.find("+validate"), std::string::npos)
+      << stats.solver_name;
 }
 
 }  // namespace

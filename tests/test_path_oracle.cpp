@@ -27,6 +27,10 @@ struct Guest {
   const char* body;      // after sym_input; buffer pointer in s0
 };
 
+/// Printed by name, so the discovered test names stay the same across runs
+/// (gtest would otherwise dump the struct's bytes, pointers included).
+void PrintTo(const Guest& guest, std::ostream* os) { *os << guest.name; }
+
 const Guest kGuests[] = {
     {"byte-classifier", 1, R"(
     lbu t1, 0(s0)

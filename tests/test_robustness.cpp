@@ -114,15 +114,22 @@ class RobustnessTest : public ::testing::Test {
     return elf::to_program(rvasm::assemble_or_die(table, source).image);
   }
 
+  using MakeSolver = std::unique_ptr<smt::Solver> (*)(smt::Context&);
+
   /// Per-worker resources over `program`; each worker gets its own context,
-  /// executor and raw z3 backend (the engine layers cache/fault wrappers).
-  WorkerFactory factory_for(const Program& program) {
-    return [this, &program](unsigned) {
+  /// executor and z3 backend, and — with `secondary` — a failover factory
+  /// for that backend. Each worker's resolver composes fault injection,
+  /// failover and validation around the z3 backend.
+  WorkerFactory factory_for(const Program& program,
+                            MakeSolver secondary = nullptr) {
+    return [this, &program, secondary](unsigned) {
       WorkerResources r;
       r.ctx = std::make_unique<smt::Context>();
       r.executor = std::make_unique<BinSymExecutor>(*r.ctx, decoder, registry,
                                                     program);
       r.solver = smt::make_z3_solver(*r.ctx);
+      if (secondary)
+        r.failover = [secondary, ctx = r.ctx.get()] { return secondary(*ctx); };
       return r;
     };
   }
@@ -359,7 +366,7 @@ TEST_F(RobustnessTest, WallClockDeadlineYieldsPartialReport) {
 }
 
 TEST_F(RobustnessTest, FailoverRescuesEveryUnknownSoNoPathIsLost) {
-  // Primary backend gives up on every other query; the failover wrapper
+  // Primary backend gives up on every other query; the resolver's failover
   // retries each on the secondary, so the engine never sees an unknown and
   // the explored path set matches the fault-free baseline exactly.
   Program program = load(kTwoBranchGuest);
@@ -372,15 +379,11 @@ TEST_F(RobustnessTest, FailoverRescuesEveryUnknownSoNoPathIsLost) {
     baseline = explore(engine, nullptr);
   }
 
-  smt::Context ctx;
-  BinSymExecutor executor(ctx, decoder, registry, program);
-  auto plan = FaultPlan::parse("solver@1:2");  // every odd query -> unknown
-  ASSERT_TRUE(plan);
-  auto flaky_primary = std::make_unique<smt::FaultInjectingSolver>(
-      smt::make_z3_solver(ctx), plan);
-  auto solver = std::make_unique<smt::FailoverSolver>(
-      std::move(flaky_primary), [&ctx] { return smt::make_z3_solver(ctx); });
-  DseEngine engine(executor, std::move(solver));
+  EngineOptions options;
+  // Every odd backend check of the primary -> unknown.
+  options.fault_plan = FaultPlan::parse("solver@1:2");
+  ASSERT_TRUE(options.fault_plan);
+  DseEngine engine(factory_for(program, &smt::make_z3_solver), options);
   EngineStats stats;
   std::set<std::string> paths = explore(engine, &stats);
 
@@ -396,15 +399,12 @@ TEST_F(RobustnessTest, FailoverRescuesEveryUnknownSoNoPathIsLost) {
 
 TEST_F(RobustnessTest, WithoutFailoverTheSameFaultsCostCoverage) {
   // Contrast case for the rescue test above: the same flaky primary without
-  // a failover wrapper leaks its unknowns into the engine as skipped flips.
+  // a failover factory leaks its unknowns into the engine as skipped flips.
   Program program = load(kTwoBranchGuest);
-  smt::Context ctx;
-  BinSymExecutor executor(ctx, decoder, registry, program);
-  auto plan = FaultPlan::parse("solver@1+");
-  ASSERT_TRUE(plan);
-  auto solver = std::make_unique<smt::FaultInjectingSolver>(
-      smt::make_z3_solver(ctx), plan);
-  DseEngine engine(executor, std::move(solver));
+  EngineOptions options;
+  options.fault_plan = FaultPlan::parse("solver@1+");
+  ASSERT_TRUE(options.fault_plan);
+  DseEngine engine(factory_for(program), options);
   EngineStats stats;
   std::set<std::string> paths = explore(engine, &stats);
 
@@ -415,8 +415,8 @@ TEST_F(RobustnessTest, WithoutFailoverTheSameFaultsCostCoverage) {
 
 TEST_F(RobustnessTest, HardeningLeavesThePathSetUntouched) {
   // Core invariant: with no fault firing, the full hardening stack (failover
-  // wrapper + generous deadline + retry budget) explores exactly the same
-  // path set as a plain solver, across search strategies and worker counts.
+  // + generous deadline + retry budget) explores exactly the same path set
+  // as a plain solver, across search strategies and worker counts.
   Program program = load(kTwoBranchGuest);
 
   std::set<std::string> baseline;
@@ -428,16 +428,11 @@ TEST_F(RobustnessTest, HardeningLeavesThePathSetUntouched) {
   }
   ASSERT_GE(baseline.size(), 3u);
 
-  WorkerFactory hardened = [this, &program](unsigned) {
-    WorkerResources r;
-    r.ctx = std::make_unique<smt::Context>();
-    r.executor =
-        std::make_unique<BinSymExecutor>(*r.ctx, decoder, registry, program);
-    auto solver = std::make_unique<smt::FailoverSolver>(
-        smt::make_z3_solver(*r.ctx),
-        [ctx = r.ctx.get()] { return smt::make_bitblast_solver(*ctx); });
-    solver->set_deadline_ms(60'000);  // generous: must never fire
-    r.solver = std::move(solver);
+  WorkerFactory hardened = [base = factory_for(program,
+                                              &smt::make_bitblast_solver)](
+                               unsigned index) {
+    WorkerResources r = base(index);
+    r.solver->set_deadline_ms(60'000);  // generous: must never fire
     return r;
   };
 
@@ -455,6 +450,8 @@ TEST_F(RobustnessTest, HardeningLeavesThePathSetUntouched) {
       EXPECT_EQ(explore(engine, &stats), baseline);
       EXPECT_FALSE(stats.incomplete) << stats.incomplete_reason;
       EXPECT_EQ(stats.solver.failover_rescues, 0u);
+      EXPECT_NE(stats.solver_name.find("+failover"), std::string::npos)
+          << stats.solver_name;
     }
   }
 }

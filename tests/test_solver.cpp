@@ -1,7 +1,9 @@
 // Tests for the solver stack: Z3 backend, model extraction, the query
-// cache, the resolver's tiers and the validating wrapper.
+// cache and the resolver's tiers, including the backend tier it composes
+// (fault injection, failover, model validation).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -129,15 +131,38 @@ TEST(Resolver, KeyIgnoresOrderDuplicatesAndTrueAssertions) {
   EXPECT_EQ(rig.counts->checks.load(), 1u);
 }
 
+/// Resolver options with model validation on.
+Resolver::Options validating() {
+  Resolver::Options options;
+  options.validate = true;
+  return options;
+}
+
 TEST(ValidatingSolver, PassesThroughCorrectModels) {
   Context ctx;
-  ValidatingSolver validating(make_z3_solver(ctx));
+  auto backend = make_z3_solver(ctx);
+  Resolver resolver(ctx, *backend, validating());
   ExprRef x = ctx.var("x", 16);
-  std::vector<ExprRef> query = {
-      ctx.eq(ctx.add(x, ctx.constant(1, 16)), ctx.constant(0, 16))};
   Assignment model;
-  EXPECT_EQ(validating.check(query, &model), CheckResult::kSat);
+  EXPECT_EQ(resolver.resolve_candidate(
+                {}, ctx.eq(ctx.add(x, ctx.constant(1, 16)), ctx.constant(0, 16)),
+                &model),
+            CheckResult::kSat);
   EXPECT_EQ(model.get(x->var_id), 0xffffu);
+}
+
+TEST(ValidatingSolver, RejectsAModelThatDoesNotSatisfyTheQuery) {
+  // A stub "sat" assigns 0 to every variable, which violates x > 100.
+  Context ctx;
+  StubSolver backend(StubSolver::Mode::kSat);
+  Resolver resolver(ctx, backend, validating());
+  ExprRef x = ctx.var("x", 16);
+  resolver.extend_prefix(ctx.ugt(x, ctx.constant(100, 16)));
+  EXPECT_THROW(resolver.resolve_flip(ctx.ult(x, ctx.constant(200, 16)), nullptr),
+               std::logic_error);
+  EXPECT_THROW(resolver.resolve_candidate({}, ctx.ugt(x, ctx.constant(7, 16)),
+                                          nullptr),
+               std::logic_error);
 }
 
 TEST(QueryCache, RepeatedPrefixQuerySequenceHits) {
@@ -244,8 +269,8 @@ TEST(QueryCache, ConcurrentLookupsAndInsertsAreConsistent) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// -- Scoped (incremental) API: native Z3, assumption-based bitblast, and the
-// -- wrappers, all against the same script. ----------------------------------
+// -- Scoped (incremental) API: native Z3 and assumption-based bitblast, both
+// -- against the same script. -------------------------------------------------
 
 /// A backend under test. Printed by name, so the discovered test names stay
 /// the same across builds (a bare function pointer prints as its address).
@@ -322,16 +347,12 @@ std::unique_ptr<Solver> z3(Context& ctx) { return make_z3_solver(ctx); }
 std::unique_ptr<Solver> bitblast(Context& ctx) {
   return make_bitblast_solver(ctx);  // client-side scope, CDCL assumptions
 }
-std::unique_ptr<Solver> validating_z3(Context& ctx) {
-  return std::make_unique<ValidatingSolver>(make_z3_solver(ctx));
-}
 }  // namespace factories
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, ScopedSolverApi,
     ::testing::Values(Backend{"z3", &factories::z3},
-                      Backend{"bitblast", &factories::bitblast},
-                      Backend{"validating_z3", &factories::validating_z3}));
+                      Backend{"bitblast", &factories::bitblast}));
 
 // -- The bit-blaster keeps its CNFs for its lifetime and passes every query
 // -- root as an assumption. Each test below fails if a root were ever added
@@ -473,17 +494,20 @@ TEST(Resolver, IncrementalChecksShareKeysWithStatelessChecks) {
 }
 
 TEST(ValidatingSolver, ValidatesScopedAssertionsToo) {
+  // A flip reaches the backend through the scope: the prefix is asserted,
+  // the negated branch is the assumption, and the model must satisfy both.
   Context ctx;
-  ValidatingSolver validating(make_z3_solver(ctx));
+  auto backend = make_z3_solver(ctx);
+  Resolver resolver(ctx, *backend, validating());
   ExprRef x = ctx.var("x", 16);
-  validating.push();
-  validating.assert_(ctx.ugt(x, ctx.constant(100, 16)));
+  resolver.extend_prefix(ctx.ugt(x, ctx.constant(100, 16)));
   Assignment model;
-  std::vector<ExprRef> assumption = {ctx.ult(x, ctx.constant(200, 16))};
-  EXPECT_EQ(validating.check_assuming(assumption, &model), CheckResult::kSat);
+  EXPECT_EQ(resolver.resolve_flip(ctx.ult(x, ctx.constant(200, 16)), &model),
+            CheckResult::kSat);
+  EXPECT_EQ(backend->num_scopes(), 1u);
   EXPECT_GT(model.get(x->var_id), 100u);
   EXPECT_LT(model.get(x->var_id), 200u);
-  validating.pop();
+  resolver.reset_prefix();
 }
 
 TEST(Assignment, DefaultsToZero) {
@@ -517,67 +541,126 @@ TEST(Resolver, UnknownVerdictsAreNeverCached) {
   EXPECT_EQ(resolver.stats().unknown, 2u);
 }
 
+/// Resolver options whose failover secondary is built by `make`.
+Resolver::Options failover_to(SolverFactory make) {
+  Resolver::Options options;
+  options.failover = std::move(make);
+  return options;
+}
+
 TEST(FailoverSolver, SecondaryRescuesUnknownPrimary) {
   Context ctx;
-  FailoverSolver solver(
-      std::make_unique<StubSolver>(StubSolver::Mode::kUnknown),
-      [&ctx] { return make_z3_solver(ctx); });
+  StubSolver primary(StubSolver::Mode::kUnknown);
+  Resolver resolver(ctx, primary,
+                    failover_to([&ctx] { return make_z3_solver(ctx); }));
   ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.eq(x, ctx.constant(42, 8))};
   Assignment model;
-  EXPECT_EQ(solver.check(query, &model), CheckResult::kSat);
+  EXPECT_EQ(resolver.resolve_candidate({}, ctx.eq(x, ctx.constant(42, 8)),
+                                       &model),
+            CheckResult::kSat);
   EXPECT_EQ(model.get(x->var_id), 42u);
-  // One *logical* query, classified by the final (rescued) verdict.
-  EXPECT_EQ(solver.stats().queries, 1u);
-  EXPECT_EQ(solver.stats().sat, 1u);
-  EXPECT_EQ(solver.stats().failover_rescues, 1u);
-  EXPECT_EQ(solver.name(), "stub+failover");
+  // One question, one backend check, classified by the rescued verdict.
+  EXPECT_EQ(resolver.stats().queries, 1u);
+  EXPECT_EQ(resolver.ledger().backend_checks, 1u);
+  EXPECT_EQ(resolver.stats().sat, 1u);
+  EXPECT_EQ(resolver.stats().unknown, 0u);
+  EXPECT_EQ(resolver.stats().failover_rescues, 1u);
 }
 
 TEST(FailoverSolver, ThrowingPrimaryIsRescuedToo) {
   Context ctx;
-  FailoverSolver solver(std::make_unique<StubSolver>(StubSolver::Mode::kThrow),
-                        [&ctx] { return make_z3_solver(ctx); });
+  StubSolver primary(StubSolver::Mode::kThrow);
+  Resolver resolver(ctx, primary,
+                    failover_to([&ctx] { return make_z3_solver(ctx); }));
   ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.eq(x, ctx.constant(1, 8)),
-                                ctx.eq(x, ctx.constant(2, 8))};
-  EXPECT_EQ(solver.check(query, nullptr), CheckResult::kUnsat);
-  EXPECT_EQ(solver.stats().unsat, 1u);
-  EXPECT_EQ(solver.stats().failover_rescues, 1u);
+  std::vector<ExprRef> prefix = {ctx.eq(x, ctx.constant(1, 8))};
+  EXPECT_EQ(resolver.resolve_candidate(prefix, ctx.eq(x, ctx.constant(2, 8)),
+                                       nullptr),
+            CheckResult::kUnsat);
+  EXPECT_EQ(resolver.stats().unsat, 1u);
+  EXPECT_EQ(resolver.stats().failover_rescues, 1u);
 }
 
 TEST(FailoverSolver, UnknownWhenBothBackendsGiveUp) {
   Context ctx;
-  FailoverSolver solver(
-      std::make_unique<StubSolver>(StubSolver::Mode::kUnknown),
-      [] {
-        return std::unique_ptr<Solver>(
-            new StubSolver(StubSolver::Mode::kThrow));
-      });
+  StubSolver primary(StubSolver::Mode::kUnknown);
+  Resolver resolver(ctx, primary, failover_to([] {
+                      return std::unique_ptr<Solver>(
+                          new StubSolver(StubSolver::Mode::kThrow));
+                    }));
   ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
-  EXPECT_EQ(solver.check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(solver.stats().unknown, 1u);
-  EXPECT_EQ(solver.stats().failover_rescues, 0u);  // nothing was rescued
+  EXPECT_EQ(resolver.resolve_candidate({}, ctx.ult(x, ctx.constant(10, 8)),
+                                       nullptr),
+            CheckResult::kUnknown);
+  EXPECT_EQ(resolver.stats().unknown, 1u);
+  EXPECT_EQ(resolver.stats().failover_rescues, 0u);  // nothing was rescued
 }
 
 TEST(FailoverSolver, RescueSeesScopedAssertions) {
-  // The secondary has no scope state of its own; the wrapper must hand it
-  // the client-side scoped conjunction alongside the assumptions.
+  // The secondary has no scope of its own; the resolver hands it the
+  // effective query, which holds the flip prefix alongside the target.
   Context ctx;
-  FailoverSolver solver(
-      std::make_unique<StubSolver>(StubSolver::Mode::kUnknown),
-      [&ctx] { return make_z3_solver(ctx); });
+  StubSolver primary(StubSolver::Mode::kUnknown);
+  Resolver resolver(ctx, primary,
+                    failover_to([&ctx] { return make_z3_solver(ctx); }));
   ExprRef x = ctx.var("x", 8);
-  solver.push();
-  solver.assert_(ctx.ult(x, ctx.constant(10, 8)));
+  resolver.extend_prefix(ctx.ult(x, ctx.constant(10, 8)));
   Assignment model;
-  std::vector<ExprRef> assumption = {ctx.ugt(x, ctx.constant(3, 8))};
-  ASSERT_EQ(solver.check_assuming(assumption, &model), CheckResult::kSat);
+  ASSERT_EQ(resolver.resolve_flip(ctx.ugt(x, ctx.constant(3, 8)), &model),
+            CheckResult::kSat);
+  EXPECT_EQ(primary.num_scopes(), 1u);  // the primary was asked in the scope
   EXPECT_GT(model.get(x->var_id), 3u);
   EXPECT_LT(model.get(x->var_id), 10u);
-  solver.pop();
-  EXPECT_EQ(solver.stats().failover_rescues, 1u);
+  resolver.reset_prefix();
+  EXPECT_EQ(resolver.stats().failover_rescues, 1u);
+}
+
+TEST(FailoverSolver, RescueGetsTheFullDeadlineAfterThePrimaryTimedOut) {
+  // The primary spends its whole 40 ms deadline and gives up. The rescue
+  // runs after that deadline has expired, under the full deadline again
+  // rather than the (empty) remainder, and decides.
+  Context ctx;
+  constexpr uint32_t kDeadlineMs = 40;
+  StubSolver primary(StubSolver::Mode::kUnknown,
+                     std::chrono::milliseconds(kDeadlineMs));
+  primary.set_deadline_ms(kDeadlineMs);
+  Solver* secondary = nullptr;
+  Resolver resolver(ctx, primary, failover_to([&] {
+                      auto built = make_bitblast_solver(ctx);
+                      EXPECT_EQ(built->deadline_ms(), 0u);  // none yet
+                      secondary = built.get();
+                      return built;
+                    }));
+  ExprRef x = ctx.var("x", 8);
+  const auto start = std::chrono::steady_clock::now();
+  Assignment model;
+  ASSERT_EQ(resolver.resolve_candidate({}, ctx.eq(x, ctx.constant(9, 8)),
+                                       &model),
+            CheckResult::kSat);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kDeadlineMs));
+  ASSERT_NE(secondary, nullptr);
+  EXPECT_EQ(secondary->deadline_ms(), kDeadlineMs);
+  EXPECT_EQ(model.get(x->var_id), 9u);
+  EXPECT_EQ(resolver.stats().failover_rescues, 1u);
+}
+
+TEST(FailoverSolver, CancelledPrimaryIsNotRescued) {
+  // A cancelled check's kUnknown is the caller's request, not a failure.
+  Context ctx;
+  StubSolver primary(StubSolver::Mode::kSat);
+  bool built = false;
+  Resolver resolver(ctx, primary, failover_to([&] {
+                      built = true;
+                      return make_z3_solver(ctx);
+                    }));
+  primary.cancel();
+  ExprRef x = ctx.var("x", 8);
+  EXPECT_EQ(resolver.resolve_candidate({}, ctx.ult(x, ctx.constant(10, 8)),
+                                       nullptr),
+            CheckResult::kUnknown);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(resolver.stats().failover_rescues, 0u);
 }
 
 TEST(SolverDeadline, BitblastHonorsExpiredDeadline) {
